@@ -1,6 +1,8 @@
 #include "coherence/mem_sys.hh"
 
 #include "check/protocol_checker.hh"
+#include "coherence/directory_protocol.hh"
+#include "coherence/snoop_protocol.hh"
 
 namespace spp {
 
@@ -893,6 +895,23 @@ MemSys::checkCoherence() const
                        l1l.tag, c);
         });
     }
+}
+
+std::unique_ptr<MemSys>
+makeMemSys(const Config &cfg, EventQueue &eq, Mesh &mesh,
+           DestinationPredictor *predictor)
+{
+    switch (cfg.protocol) {
+      case Protocol::broadcast:
+        return std::make_unique<BroadcastMemSys>(cfg, eq, mesh);
+      case Protocol::multicast:
+        return std::make_unique<MulticastMemSys>(cfg, eq, mesh,
+                                                 predictor);
+      case Protocol::directory:
+      case Protocol::predicted:
+        break;
+    }
+    return std::make_unique<DirectoryMemSys>(cfg, eq, mesh, predictor);
 }
 
 } // namespace spp

@@ -5,7 +5,8 @@
  * Owns the per-tile L1/L2 arrays, writeback buffers and requester-side
  * MSHRs; implements the local access path (hit timing, miss issue,
  * fills, evictions) and message plumbing over the mesh. The directory
- * and broadcast engines subclass it and implement the miss protocol.
+ * and snooping engines subclass it and implement the miss protocol;
+ * makeMemSys() picks the one Config::protocol selects.
  *
  * Modeling conventions (see DESIGN.md):
  *  - One outstanding demand access per core (in-order cores).
@@ -218,14 +219,8 @@ class MemSys
     wbPoolStats() const
     {
         PoolStats sum;
-        for (const auto &buf : wb_buffer_) {
-            const PoolStats &s = buf.stats();
-            sum.acquires += s.acquires;
-            sum.reuses += s.reuses;
-            sum.allocated += s.allocated;
-            sum.live += s.live;
-            sum.peak += s.peak;
-        }
+        for (const auto &buf : wb_buffer_)
+            sum += buf.stats();
         return sum;
     }
 
@@ -342,10 +337,10 @@ class MemSys
         CoreSet retried;            ///< Predicted targets re-invalidated.
         unsigned predRespPending = 0;
         bool predFailedSent = false;
-        unsigned peerResponses = 0; ///< Broadcast: responses collected.
-        bool peerHadCopy = false;   ///< Broadcast: some peer had line.
-        bool ordered = false;       ///< Broadcast: request is ordered.
-        bool coreResumed = false;   ///< Broadcast: done() already ran.
+        unsigned peerResponses = 0; ///< Snooping: responses collected.
+        bool peerHadCopy = false;   ///< Snooping: some peer had line.
+        bool ordered = false;       ///< Snooping: home ordered the miss.
+        bool coreResumed = false;   ///< Snooping: done() already ran.
         CoreId dataSource = invalidCore;
         Mesif fillState = Mesif::invalid;
         std::uint64_t version = 0;
@@ -535,6 +530,16 @@ class MemSys
     /** Finish a writeback at the evictor (wbAck received). */
     void finishWriteback(CoreId core, Addr line);
 };
+
+/**
+ * Build the memory system @p cfg selects: DirectoryMemSys for
+ * directory/predicted, the snooping engine for broadcast/multicast.
+ * @p predictor (may be null) drives the predicted protocols; the
+ * caller keeps ownership.
+ */
+std::unique_ptr<MemSys> makeMemSys(const Config &cfg, EventQueue &eq,
+                                   Mesh &mesh,
+                                   DestinationPredictor *predictor);
 
 } // namespace spp
 

@@ -49,6 +49,18 @@ struct PoolStats
             : static_cast<double>(reuses) /
                 static_cast<double>(acquires);
     }
+
+    /** Fold another pool's counters in (summed pool families). */
+    PoolStats &
+    operator+=(const PoolStats &o)
+    {
+        acquires += o.acquires;
+        reuses += o.reuses;
+        allocated += o.allocated;
+        live += o.live;
+        peak += o.peak;
+        return *this;
+    }
 };
 
 template <typename T>

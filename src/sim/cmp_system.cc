@@ -1,7 +1,5 @@
 #include "sim/cmp_system.hh"
 
-#include "coherence/broadcast_protocol.hh"
-#include "coherence/multicast_protocol.hh"
 #include "common/logging.hh"
 
 namespace spp {
@@ -49,15 +47,7 @@ CmpSystem::CmpSystem(const Config &cfg) : cfg_(cfg)
         }
     }
 
-    if (cfg_.protocol == Protocol::broadcast) {
-        mem_ = std::make_unique<BroadcastMemSys>(cfg_, eq_, *mesh_);
-    } else if (cfg_.protocol == Protocol::multicast) {
-        mem_ = std::make_unique<MulticastMemSys>(cfg_, eq_, *mesh_,
-                                                 predictor_.get());
-    } else {
-        mem_ = std::make_unique<DirectoryMemSys>(cfg_, eq_, *mesh_,
-                                                 predictor_.get());
-    }
+    mem_ = makeMemSys(cfg_, eq_, *mesh_, predictor_.get());
 
     sync_ = std::make_unique<SyncManager>(cfg_, eq_,
                                           layout::syncBase);

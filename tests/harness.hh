@@ -15,9 +15,7 @@
 #include <tuple>
 #include <vector>
 
-#include "coherence/broadcast_protocol.hh"
 #include "coherence/directory_protocol.hh"
-#include "coherence/multicast_protocol.hh"
 #include "common/config.hh"
 #include "core/sp_predictor.hh"
 #include "event/event_queue.hh"
@@ -49,18 +47,7 @@ class ProtoHarness
             group.emplace(cfg_, cfg_.numCores, idx);
             pred = &*group;
         }
-        switch (cfg_.protocol) {
-          case Protocol::broadcast:
-            sys = std::make_unique<BroadcastMemSys>(cfg_, eq, *mesh);
-            break;
-          case Protocol::multicast:
-            sys = std::make_unique<MulticastMemSys>(cfg_, eq, *mesh,
-                                                    pred);
-            break;
-          default:
-            sys = std::make_unique<DirectoryMemSys>(cfg_, eq, *mesh,
-                                                    pred);
-        }
+        sys = makeMemSys(cfg_, eq, *mesh, pred);
     }
 
     /** 16-core paper configuration with a small L2 (fast tests). */

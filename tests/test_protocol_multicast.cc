@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "coherence/multicast_protocol.hh"
+#include "coherence/snoop_protocol.hh"
 #include "analysis/experiment.hh"
 #include "harness.hh"
 
