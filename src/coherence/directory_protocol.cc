@@ -1,6 +1,4 @@
 #include "coherence/directory_protocol.hh"
-#include <cstdlib>
-#include <cstdio>
 
 namespace spp {
 
@@ -648,20 +646,6 @@ DirectoryMemSys::onPredRequest(const Msg &m)
 void
 DirectoryMemSys::handleMsg(const Msg &m)
 {
-    if (const char *dbg = std::getenv("SPP_DEBUG_LINE")) {
-        if (m.line == static_cast<Addr>(std::atoll(dbg))) {
-            // lint: allow(std-io) — SPP_DEBUG_LINE opt-in tracer.
-            std::fprintf(stderr,
-                         "[%8lu] %-10s line %lu %u->%u req=%u txn=%lu "
-                         "pred=%d set=%s\n",
-                         static_cast<unsigned long>(eq_.curTick()),
-                         toString(m.type),
-                         static_cast<unsigned long>(m.line), m.src,
-                         m.dst, m.requester,
-                         static_cast<unsigned long>(m.txn),
-                         m.predicted, m.set.toString().c_str());
-        }
-    }
     switch (m.type) {
       case MsgType::reqRead:
       case MsgType::reqWrite:
