@@ -42,8 +42,7 @@ inline constexpr const char *resultStoreSchema = "spp-result-v1";
 
 /**
  * Process-wide store traffic counters. Atomic: sweep workers consult
- * the store concurrently. Benches report them after a sweep and the
- * batch server exports them as gauges.
+ * the store concurrently. Benches report them after a sweep.
  */
 struct ResultStoreStats
 {

@@ -1,18 +1,15 @@
 /**
  * @file
- * Result-store and sweep-server tests: codec round-trip fidelity,
- * cold-miss -> populate -> warm-hit byte identity (at any worker
- * count), key invalidation on config/scale/git changes, corrupt and
- * mismatched entries rejected and re-simulated, cacheability
- * bypasses, and the server's newline-delimited JSON protocol parsed
- * back event by event.
+ * Result-store tests: codec round-trip fidelity, cold-miss ->
+ * populate -> warm-hit byte identity (at any worker count), key
+ * invalidation on config/scale/git changes, corrupt and mismatched
+ * entries rejected and re-simulated, and cacheability bypasses.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -23,8 +20,6 @@
 #include "common/logging.hh"
 #include "service/result_codec.hh"
 #include "service/result_store.hh"
-#include "service/server.hh"
-#include "service/triage.hh"
 #include "telemetry/json.hh"
 
 using namespace spp;
@@ -302,183 +297,4 @@ TEST(ResultStore, UncacheableCellsBypassTheStore)
         ++entries;
     }
     EXPECT_EQ(entries, 0u);
-}
-
-namespace {
-
-/** Drive a SweepServer over string streams; returns parsed events. */
-std::vector<Json>
-serveScript(SweepServer &server, const std::string &script,
-            unsigned *served = nullptr)
-{
-    std::istringstream in(script);
-    std::ostringstream out;
-    const unsigned n = server.serve(in, out);
-    if (served != nullptr)
-        *served = n;
-    std::vector<Json> events;
-    std::istringstream lines(out.str());
-    for (std::string line; std::getline(lines, line);) {
-        auto doc = Json::parse(line);
-        EXPECT_TRUE(doc.has_value()) << line;
-        if (doc)
-            events.push_back(*doc);
-    }
-    return events;
-}
-
-std::string
-eventName(const Json &ev)
-{
-    const Json *e = ev.find("event");
-    return e != nullptr && e->isString() ? e->asString() : "";
-}
-
-} // namespace
-
-TEST(SweepServer, ServesQueuedRequestsAndStreamsResults)
-{
-    QuietScope quiet;
-    TempDir dir("server");
-    ServerOptions so;
-    so.resultStore.dir = dir.str();
-    so.jobs = 2;
-    so.defaultScale = 0.05;
-    SweepServer server(so);
-
-    const std::string script =
-        "{\"op\":\"sweep\",\"id\":\"q1\",\"cells\":["
-        "{\"workload\":\"ocean\",\"label\":\"dir\"},"
-        "{\"workload\":\"ocean\",\"label\":\"sp\",\"set\":"
-        "{\"protocol\":\"predicted\",\"predictor\":\"sp\"}}]}\n"
-        "{\"op\":\"sweep\",\"id\":\"q2\",\"set\":{\"numCores\":8},"
-        "\"cells\":[{\"workload\":\"fmm\"}]}\n"
-        "{\"op\":\"stats\"}\n"
-        "{\"op\":\"shutdown\"}\n";
-    unsigned served = 0;
-    const std::vector<Json> events =
-        serveScript(server, script, &served);
-    EXPECT_EQ(served, 4u);
-    EXPECT_TRUE(server.shutdownRequested());
-
-    std::vector<std::string> names;
-    names.reserve(events.size());
-    for (const Json &ev : events)
-        names.push_back(eventName(ev));
-    const std::vector<std::string> expect = {
-        "accepted", "result", "result", "done",
-        "accepted", "result", "done", "stats", "bye"};
-    EXPECT_EQ(names, expect);
-
-    // Every result payload decodes through the codec.
-    for (const Json &ev : events) {
-        if (eventName(ev) != "result")
-            continue;
-        const Json *payload = ev.find("result");
-        ASSERT_NE(payload, nullptr);
-        ExperimentResult res;
-        std::string err;
-        EXPECT_TRUE(resultFromJson(*payload, res, err)) << err;
-        EXPECT_GT(res.run.ticks, 0u);
-    }
-
-    // First done event: 2 cold cells -> 2 misses, 0 hits.
-    const Json &done1 = events[3];
-    EXPECT_EQ(done1.find("misses")->asNumber(), 2.0);
-    EXPECT_EQ(done1.find("hits")->asNumber(), 0.0);
-
-    // Gauges: all cells ran, queue drained, store traffic visible.
-    const Json &stats = events[7];
-    const Json *gauges = stats.find("gauges");
-    ASSERT_NE(gauges, nullptr);
-    EXPECT_EQ(gauges->find("server.cells_run")->asNumber(), 3.0);
-    EXPECT_EQ(gauges->find("server.queue_depth")->asNumber(), 0.0);
-    // The stats op is itself the third request served.
-    EXPECT_EQ(gauges->find("server.requests_served")->asNumber(),
-              3.0);
-    ASSERT_NE(gauges->find("store.misses"), nullptr);
-
-    // Same sweep again on a fresh server: warm, flagged cached, and
-    // the result events are byte-identical in order and content.
-    SweepServer warm_server(so);
-    const std::vector<Json> warm = serveScript(
-        warm_server,
-        script.substr(0, script.find("{\"op\":\"stats\"}")));
-    std::vector<std::string> cold_results;
-    std::vector<std::string> warm_results;
-    for (const Json &ev : events)
-        if (eventName(ev) == "result")
-            cold_results.push_back(ev.dump());
-    for (const Json &ev : warm) {
-        if (eventName(ev) != "result")
-            continue;
-        EXPECT_TRUE(ev.find("cached")->asBool());
-        Json stripped = ev;
-        stripped["cached"] = Json(false);
-        Json original = Json::parse(
-                            cold_results[warm_results.size()])
-                            .value();
-        original["cached"] = Json(false);
-        EXPECT_EQ(stripped.dump(), original.dump());
-        warm_results.push_back(ev.dump());
-    }
-    EXPECT_EQ(warm_results.size(), cold_results.size());
-}
-
-TEST(SweepServer, RejectsBadRequestsWithoutDying)
-{
-    QuietScope quiet;
-    ServerOptions so;
-    so.jobs = 1;
-    so.defaultScale = 0.05;
-    SweepServer server(so);
-
-    const std::string script =
-        "this is not json\n"
-        "{\"op\":\"frobnicate\",\"id\":7}\n"
-        "{\"op\":\"sweep\",\"id\":\"q\",\"cells\":["
-        "{\"workload\":\"no-such-workload\"}]}\n"
-        "{\"op\":\"sweep\",\"id\":\"q\",\"cells\":["
-        "{\"workload\":\"ocean\",\"set\":{\"numCores\":\"zero\"}}"
-        "]}\n"
-        "{\"op\":\"sweep\",\"id\":\"q\"}\n";
-    const std::vector<Json> events = serveScript(server, script);
-    ASSERT_EQ(events.size(), 5u);
-    for (const Json &ev : events) {
-        EXPECT_EQ(eventName(ev), "error");
-        EXPECT_FALSE(ev.find("error")->asString().empty());
-    }
-    // Server is still healthy after the garbage: EOF ended serve(),
-    // not a shutdown op.
-    EXPECT_FALSE(server.shutdownRequested());
-}
-
-TEST(SweepServer, TriageOrdersAndSkipsFromTraceStore)
-{
-    QuietScope quiet;
-    TempDir traces("triage");
-    // Neutral estimate without a trace store entry.
-    Config cfg;
-    const TriageEstimate neutral =
-        triageCell("ocean", cfg, 0.05, "");
-    EXPECT_FALSE(neutral.fromTrace);
-    EXPECT_EQ(neutral.score, 1.0);
-
-    // Skip mode never drops neutral cells.
-    ServerOptions so;
-    so.jobs = 1;
-    so.defaultScale = 0.05;
-    so.triage = TriageMode::skip;
-    so.triageThreshold = 1e9;
-    so.traceDir = traces.str();
-    SweepServer server(so);
-    const std::vector<Json> events = serveScript(
-        server,
-        "{\"op\":\"sweep\",\"id\":\"t\",\"cells\":["
-        "{\"workload\":\"ocean\"}]}\n");
-    ASSERT_GE(events.size(), 3u);
-    EXPECT_EQ(eventName(events[0]), "triage");
-    EXPECT_EQ(events[0].find("skipped")->size(), 0u);
-    EXPECT_EQ(eventName(events[1]), "accepted");
-    EXPECT_EQ(eventName(events[2]), "result");
 }
