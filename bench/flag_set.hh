@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/config.hh"
 #include "common/logging.hh"
 
 namespace spp {
@@ -53,6 +54,18 @@ parseUnsigned(const char *flag, const char *text, std::uint64_t lo,
     if (errno != 0 || *end != '\0' || value < lo || value > hi)
         SPP_FATAL("{} must be in [{}, {}], got '{}'", flag, lo, hi,
                   text);
+    return value;
+}
+
+/** Strictly parse @p text as a number > 0 (parsePositive); fatal,
+ * naming @p flag, on anything else. */
+inline double
+parsePositiveFlag(const char *flag, const char *text)
+{
+    double value = 0.0;
+    const std::string err = parsePositive(flag, text, value);
+    if (!err.empty())
+        SPP_FATAL("{}", err);
     return value;
 }
 
@@ -131,6 +144,21 @@ class FlagSet
                        const std::vector<std::string> &v) {
                        fn(parseUnsigned(flag.c_str(), v[0].c_str(),
                                         lo, hi));
+                   });
+    }
+
+    /** A one-value flag validated by parsePositiveFlag. */
+    FlagSet &
+    onPositive(std::string name, std::string metavar, std::string help,
+               std::function<void(double)> fn)
+    {
+        const std::string flag = name;
+        return add(std::move(name), std::move(metavar),
+                   std::move(help),
+                   [flag, fn = std::move(fn)](
+                       const std::vector<std::string> &v) {
+                       fn(parsePositiveFlag(flag.c_str(),
+                                            v[0].c_str()));
                    });
     }
 

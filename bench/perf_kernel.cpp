@@ -57,7 +57,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -66,8 +65,10 @@
 #include <vector>
 
 #include "analysis/attribution.hh"
+#include "analysis/experiment.hh"
 #include "common/config.hh"
 #include "common/logging.hh"
+#include "flag_set.hh"
 #include "sim/cmp_system.hh"
 #include "telemetry/json.hh"
 #include "trace/format.hh"
@@ -174,54 +175,47 @@ struct Options
     std::string baseline;
     double tolerancePct = 20.0;
     /** Max allowed disabled-profiler-vs-plain slowdown in percent;
-     * 0 = report only. */
+     * 0 (flag not given) = report only. */
     double attrOverheadPct = 0.0;
     unsigned reps = 3;
     double scale = 1.0;
 };
 
-void
-usage(const char *argv0)
-{
-    std::fprintf(stderr,
-                 "usage: %s [--out FILE] [--baseline FILE]\n"
-                 "          [--tolerance PCT] "
-                 "[--attr-overhead-tolerance PCT]\n"
-                 "          [--reps N] [--scale X]\n",
-                 argv0);
-    std::exit(2);
-}
-
 Options
 parseArgs(int argc, char **argv)
 {
     Options o;
-    if (const char *env = std::getenv("SPP_BENCH_SCALE"))
-        o.scale = std::atof(env);
-    auto next = [&](int &i) -> const char * {
-        if (i + 1 >= argc)
-            usage(argv[0]);
-        return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        if (!std::strcmp(a, "--out"))
-            o.out = next(i);
-        else if (!std::strcmp(a, "--baseline"))
-            o.baseline = next(i);
-        else if (!std::strcmp(a, "--tolerance"))
-            o.tolerancePct = std::atof(next(i));
-        else if (!std::strcmp(a, "--attr-overhead-tolerance"))
-            o.attrOverheadPct = std::atof(next(i));
-        else if (!std::strcmp(a, "--reps"))
-            o.reps = static_cast<unsigned>(std::atoi(next(i)));
-        else if (!std::strcmp(a, "--scale"))
-            o.scale = std::atof(next(i));
-        else
-            usage(argv[0]);
-    }
-    if (o.reps == 0)
-        o.reps = 1;
+    o.scale = defaultBenchScale();
+    bench::FlagSet fs("Event-kernel perf microbench: times the fixed "
+                      "cells and writes BENCH_kernel.json.",
+                      "SPP_BENCH_SCALE");
+    fs.onValue("--out", "FILE",
+               "write the JSON report to FILE (default "
+               "BENCH_kernel.json)",
+               [&o](const std::string &v) { o.out = v; });
+    fs.onValue("--baseline", "FILE",
+               "compare aggregate events/sec against this report",
+               [&o](const std::string &v) { o.baseline = v; });
+    fs.onPositive("--tolerance", "PCT",
+                  "fail on a regression beyond PCT percent of the "
+                  "baseline (default 20)",
+                  [&o](double v) { o.tolerancePct = v; });
+    fs.onPositive("--attr-overhead-tolerance", "PCT",
+                  "fail when the disabled-profiler cell is PCT "
+                  "percent slower than the plain one (default: "
+                  "report only)",
+                  [&o](double v) { o.attrOverheadPct = v; });
+    fs.onUnsigned("--reps", "N", 1, 1000,
+                  "runs per cell; the best wall clock counts "
+                  "(default 3)",
+                  [&o](std::uint64_t v) {
+                      o.reps = static_cast<unsigned>(v);
+                  });
+    fs.onPositive("--scale", "X",
+                  "workload iteration scale (default "
+                  "SPP_BENCH_SCALE, else 1)",
+                  [&o](double v) { o.scale = v; });
+    fs.parse(argc, argv);
     return o;
 }
 
@@ -232,12 +226,7 @@ configFor(const Cell &cell)
     cfg.protocol = cell.protocol;
     cfg.predictor = cell.predictor;
     cfg.numCores = cell.cores;
-    unsigned y = 1;
-    for (unsigned d = 2; d * d <= cell.cores; ++d)
-        if (cell.cores % d == 0)
-            y = d;
-    cfg.meshY = y;
-    cfg.meshX = cell.cores / y;
+    meshFor(cell.cores, cfg.meshX, cfg.meshY);
     return cfg;
 }
 

@@ -102,7 +102,7 @@ parseRunArgs(int argc, char **argv, int first, RunArgs &out)
 {
     for (int i = first; i < argc; ++i) {
         if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-            out.scale = std::atof(argv[++i]);
+            out.scale = bench::parsePositiveFlag("--scale", argv[++i]);
         } else if (std::strcmp(argv[i], "--cores") == 0 &&
                    i + 1 < argc) {
             out.cores = static_cast<unsigned>(bench::parseUnsigned(
@@ -132,7 +132,7 @@ configFor(const RunArgs &args)
     Config cfg;
     if (args.cores != 0) {
         cfg.numCores = args.cores;
-        bench::meshFor(args.cores, cfg.meshX, cfg.meshY);
+        meshFor(args.cores, cfg.meshX, cfg.meshY);
     }
     if (args.seedSet)
         cfg.seed = args.seed;
@@ -250,7 +250,7 @@ cmdReplay(int argc, char **argv)
     cfg.protocol = proto;
     cfg.numCores = trace->meta.numThreads;
     cfg.lineBytes = trace->meta.lineBytes;
-    bench::meshFor(cfg.numCores, cfg.meshX, cfg.meshY);
+    meshFor(cfg.numCores, cfg.meshX, cfg.meshY);
     const std::string err = traceReplayError(*trace, cfg);
     if (!err.empty())
         SPP_FATAL("cannot replay {}: {}", argv[2], err);

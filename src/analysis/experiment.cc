@@ -258,9 +258,15 @@ runExperiment(const std::string &workload_name,
 double
 defaultBenchScale()
 {
-    if (const char *env = std::getenv("SPP_BENCH_SCALE"))
-        return std::atof(env);
-    return 1.0;
+    const char *env = std::getenv("SPP_BENCH_SCALE");
+    double scale = 1.0;
+    if (env != nullptr) {
+        const std::string err =
+            parsePositive("SPP_BENCH_SCALE", env, scale);
+        if (!err.empty())
+            SPP_FATAL("{}", err);
+    }
+    return scale;
 }
 
 } // namespace spp

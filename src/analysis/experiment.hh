@@ -96,7 +96,8 @@ struct ExperimentResult
 ExperimentResult runExperiment(const std::string &workload_name,
                                const ExperimentConfig &cfg);
 
-/** The default scale benches use (keeps full sweeps fast). */
+/** The workload scale benches use: SPP_BENCH_SCALE (a number > 0;
+ * fatal otherwise), else 1. */
 double defaultBenchScale();
 
 } // namespace spp

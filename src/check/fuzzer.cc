@@ -16,13 +16,7 @@ fuzzConfig(const FuzzCase &c)
 {
     Config cfg;
     cfg.numCores = c.numCores;
-    // Most-square factorization keeping meshX * meshY == numCores.
-    unsigned y = 1;
-    for (unsigned d = 2; d * d <= c.numCores; ++d)
-        if (c.numCores % d == 0)
-            y = d;
-    cfg.meshY = y;
-    cfg.meshX = c.numCores / y;
+    meshFor(c.numCores, cfg.meshX, cfg.meshY);
     cfg.protocol = c.protocol;
     cfg.predictor = c.predictor;
     cfg.sharerFormat = c.sharerFormat;

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cerrno>
+#include <cmath>
 #include <cstddef>
 #include <cstdlib>
 #include <limits>
@@ -249,6 +250,32 @@ configDescribe(const Config &c)
     SPP_CONFIG_FIELDS(SPP_DESCRIBE_FIELD)
 #undef SPP_DESCRIBE_FIELD
     return os.str();
+}
+
+std::string
+parsePositive(const std::string &what, const std::string &text,
+              double &out)
+{
+    errno = 0;
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    const bool leads = !text.empty() &&
+        ((text[0] >= '0' && text[0] <= '9') || text[0] == '.');
+    if (!leads || errno != 0 || *end != '\0' || !std::isfinite(v) ||
+        !(v > 0.0))
+        return what + " expects a positive number, got '" + text + "'";
+    out = v;
+    return "";
+}
+
+void
+meshFor(unsigned n, unsigned &x, unsigned &y)
+{
+    y = 1;
+    for (unsigned d = 2; d * d <= n; ++d)
+        if (n % d == 0)
+            y = d;
+    x = n / y;
 }
 
 std::uint64_t
