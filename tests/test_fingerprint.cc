@@ -130,6 +130,63 @@ fingerprintCells()
             }
         }
     }
+
+    // Figs. 12-13's directory-based group predictors.
+    const std::vector<std::pair<std::string, PredictorKind>> groups = {
+        {"predicted-addr", PredictorKind::addr},
+        {"predicted-inst", PredictorKind::inst},
+        {"predicted-uni", PredictorKind::uni},
+    };
+    for (const WorkloadSpec &spec : workloadRegistry())
+        for (const auto &[name, kind] : groups)
+            cells.push_back({"16/" + spec.name + "/" + name, spec.name,
+                             machine(Protocol::predicted, kind)});
+
+    // The knobs the ablation drivers set, one variant per cell.
+    const Config dir = machine(Protocol::directory, PredictorKind::none);
+    const Config sp = machine(Protocol::predicted, PredictorKind::sp);
+    const Config addr = machine(Protocol::predicted, PredictorKind::addr);
+    const Config inst = machine(Protocol::predicted, PredictorKind::inst);
+    std::vector<std::pair<std::string, Config>> knobs;
+    auto knob = [&knobs](const std::string &label, Config c,
+                         auto &&edit) {
+        edit(c);
+        knobs.emplace_back(label, c);
+    };
+    knob("predicted-sp/depth-1", sp, [](Config &c) { c.historyDepth = 1; });
+    knob("predicted-sp/depth-4", sp, [](Config &c) { c.historyDepth = 4; });
+    knob("predicted-sp/threshold-0.05", sp,
+         [](Config &c) { c.hotThreshold = 0.05; });
+    knob("predicted-sp/threshold-0.30", sp,
+         [](Config &c) { c.hotThreshold = 0.30; });
+    knob("predicted-sp/no-recovery", sp,
+         [](Config &c) { c.enableRecovery = false; });
+    knob("predicted-sp/no-patterns", sp,
+         [](Config &c) { c.enablePatterns = false; });
+    knob("predicted-sp/lock-union", sp,
+         [](Config &c) { c.unionEpochIntoLock = true; });
+    knob("predicted-sp/hot-set-2", sp,
+         [](Config &c) { c.maxHotSetSize = 2; });
+    knob("predicted-sp/filter", sp,
+         [](Config &c) { c.enableSharingFilter = true; });
+    knob("predicted-addr/macroblock-64", addr,
+         [](Config &c) { c.macroBlockBytes = 64; });
+    knob("predicted-addr/macroblock-1024", addr,
+         [](Config &c) { c.macroBlockBytes = 1024; });
+    knob("predicted-addr/entries-512", addr,
+         [](Config &c) { c.predictorEntries = 512; });
+    knob("predicted-inst/entries-512", inst,
+         [](Config &c) { c.predictorEntries = 512; });
+    for (const auto &[name, base] : {std::pair{"directory", dir},
+                                     std::pair{"predicted-sp", sp}}) {
+        knob(std::string(name) + "/no-fstate", base,
+             [](Config &c) { c.enableFState = false; });
+        knob(std::string(name) + "/dram", base,
+             [](Config &c) { c.enableDram = true; });
+    }
+    for (const std::string &wl : variantWorkloads)
+        for (const auto &[name, cfg] : knobs)
+            cells.push_back({"16/" + wl + "/" + name, wl, cfg});
     return cells;
 }
 
