@@ -6,9 +6,9 @@
  * protocol/predictor combination with the invariant checker attached
  * and report any violation, timeout or deadlock. The first failure is
  * shrunk to a minimal reproducer and printed as a replayable command
- * line; with --report DIR an access-level trace (replayable via
- * examples/trace_replay --load) and the failing message log are saved
- * there.
+ * line; with --report DIR that reproducer is run once more and its
+ * status, violations, outstanding transactions and recent messages are
+ * saved there as a log.
  *
  * Single-case mode: pass --seed (plus the workload-shape flags a
  * reproducer line carries) to re-run exactly one case.
@@ -48,7 +48,7 @@ struct Options
     unsigned inject = 0;
     bool expectCatch = false;
     bool shrink = true;
-    std::string report;            ///< Failure artifact directory.
+    std::string report;            ///< Failure log directory.
     std::string protocols = "all"; ///< all | directory,broadcast,...
     std::string format = "all";    ///< Sharer format(s) to sweep.
     TelemetryOptions telemetry;    ///< Per-case sidecars (opt-in).
@@ -112,7 +112,7 @@ parseArgs(int argc, char **argv)
                 [&o] { o.expectCatch = true; });
     fs.onSwitch("--no-shrink", "skip reproducer minimization",
                 [&o] { o.shrink = false; });
-    fs.onValue("--report", "DIR", "save failure artifacts into DIR",
+    fs.onValue("--report", "DIR", "save the reproducer's failure log in DIR",
                [&o](const std::string &v) { o.report = v; });
     fs.onValue("--telemetry", "DIR", "per-case telemetry sidecars",
                [&o](const std::string &v) { o.telemetry.dir = v; });
@@ -209,38 +209,32 @@ configGrid(const Options &o)
     return grid;
 }
 
-/** Save failure artifacts; returns the saved trace path (or ""). */
-std::string
-saveReport(const Options &o, const FuzzCase &c, const FuzzResult &r)
+/** With --report DIR, run @p c once and log that run to DIR, so the
+ * reproducer line and the failure details describe the same case. */
+void
+saveReport(const Options &o, const FuzzCase &c)
 {
     if (o.report.empty())
-        return {};
-    const std::string stem = o.report + "/fuzz_" +
+        return;
+    const std::string path = o.report + "/fuzz_" +
         toString(c.protocol) + "_seed" +
-        std::to_string(c.workload.seed);
+        std::to_string(c.workload.seed) + ".log";
+    const FuzzResult r = runFuzzCase(c);
 
-    // Deterministic re-run with trace capture attached.
-    FuzzCase traced = c;
-    traced.tracePath = stem + ".trace";
-    runFuzzCase(traced);
-
-    std::FILE *log = std::fopen((stem + ".log").c_str(), "w");
-    if (log) {
-        std::fprintf(log, "reproducer: %s\nstatus: %s\n",
-                     describeFuzzCase(c).c_str(),
-                     toString(r.status));
-        for (const Violation &v : r.violations)
-            std::fprintf(log, "[tick %llu] %s: %s\n",
-                         static_cast<unsigned long long>(v.tick),
-                         v.rule.c_str(), v.detail.c_str());
-        if (!r.outstanding.empty())
-            std::fprintf(log, "outstanding:\n%s\n",
-                         r.outstanding.c_str());
-        std::fprintf(log, "recent messages:\n%s",
-                     r.trace.c_str());
-        std::fclose(log);
-    }
-    return traced.tracePath;
+    std::FILE *log = std::fopen(path.c_str(), "w");
+    if (!log)
+        SPP_FATAL("cannot write fuzz report '{}'", path);
+    std::fprintf(log, "reproducer: %s\nstatus: %s\n",
+                 describeFuzzCase(c).c_str(), toString(r.status));
+    for (const Violation &v : r.violations)
+        std::fprintf(log, "[tick %llu] %s: %s\n",
+                     static_cast<unsigned long long>(v.tick),
+                     v.rule.c_str(), v.detail.c_str());
+    if (!r.outstanding.empty())
+        std::fprintf(log, "outstanding:\n%s\n", r.outstanding.c_str());
+    std::fprintf(log, "recent messages:\n%s", r.trace.c_str());
+    std::fclose(log);
+    std::printf("saved report: %s\n", path.c_str());
 }
 
 void
@@ -262,11 +256,7 @@ printFailure(const Options &o, const FuzzCase &c, const FuzzResult &r)
         std::printf("minimal reproducer: %s\n",
                     describeFuzzCase(minimal).c_str());
     }
-    const std::string trace = saveReport(o, minimal, r);
-    if (!trace.empty())
-        std::printf("saved artifacts: %s (+ .log); replay with "
-                    "examples/trace_replay --load %s\n",
-                    trace.c_str(), trace.c_str());
+    saveReport(o, minimal);
 }
 
 } // namespace

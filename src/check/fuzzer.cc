@@ -4,7 +4,6 @@
 #include <array>
 #include <optional>
 
-#include "analysis/event_trace.hh"
 #include "common/format.hh"
 #include "common/logging.hh"
 #include "telemetry/telemetry.hh"
@@ -43,10 +42,6 @@ runFuzzCase(const FuzzCase &c)
     ProtocolChecker checker(sys.memSys(), copts);
     sys.syncManager().addListener(&checker);
 
-    EventTrace trace;
-    if (!c.tracePath.empty())
-        trace.attach(sys);
-
     std::optional<RunTelemetry> telemetry;
     if (c.telemetry.enabled()) {
         telemetry.emplace(c.telemetry, c.telemetryLabel.empty()
@@ -72,11 +67,8 @@ runFuzzCase(const FuzzCase &c)
     res.violations = checker.violations();
     res.messagesChecked = checker.messagesChecked();
     res.ticks = rr.ticks;
-    if (res.failed()) {
+    if (res.failed())
         res.trace = checker.dumpTrace();
-        if (!c.tracePath.empty())
-            trace.save(c.tracePath);
-    }
     if (telemetry) {
         telemetry->manifest().set("status",
                                   Json(toString(res.status)));
@@ -91,8 +83,7 @@ FuzzCase
 shrinkFuzzCase(const FuzzCase &failing, unsigned budget)
 {
     FuzzCase best = failing;
-    best.tracePath.clear();       // No trace I/O during shrinking.
-    best.telemetry = TelemetryOptions{}; // No sidecars either.
+    best.telemetry = TelemetryOptions{}; // No sidecars while shrinking.
 
     // Greedy halving: the candidate order puts the knobs with the
     // biggest run-time payoff first so a small budget still helps.
@@ -120,7 +111,6 @@ shrinkFuzzCase(const FuzzCase &failing, unsigned budget)
             }
         }
     }
-    best.tracePath = failing.tracePath;
     best.telemetry = failing.telemetry;
     return best;
 }

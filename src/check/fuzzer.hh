@@ -36,12 +36,9 @@ struct FuzzCase
     Tick maxTicks = 5'000'000;
     unsigned injectBug = 0;     ///< Config::injectBug pass-through.
 
-    /** Optional access-level trace capture for offline replay. */
-    std::string tracePath;      ///< Non-empty: save on failure.
-
     /** Optional telemetry sidecars (series/trace/manifest) per case;
      * disabled unless telemetry.dir is set. Shrinking suppresses
-     * them the same way it suppresses trace I/O. */
+     * them. */
     TelemetryOptions telemetry;
     std::string telemetryLabel; ///< File stem; default "fuzz".
 };
