@@ -14,11 +14,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
 #include "common/core_set.hh"
 #include "common/types.hh"
 
 namespace spp {
+
+struct Config;
 
 /**
  * What knowledge produced a prediction; drives the Figure 7 accuracy
@@ -96,6 +99,13 @@ class DestinationPredictor
     /** Modelled prediction-table accesses (power comparison). */
     virtual std::uint64_t tableAccesses() const = 0;
 };
+
+/**
+ * The predictor a Protocol::predicted or Protocol::multicast @p cfg
+ * runs with: SpPredictor for PredictorKind::sp, a GroupPredictor for
+ * addr/inst/uni. nullptr for the protocols that predict nothing.
+ */
+std::unique_ptr<DestinationPredictor> makePredictor(const Config &cfg);
 
 } // namespace spp
 

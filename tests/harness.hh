@@ -20,7 +20,6 @@
 #include "core/sp_predictor.hh"
 #include "event/event_queue.hh"
 #include "noc/mesh.hh"
-#include "predict/group_predictor.hh"
 
 namespace spp {
 namespace test {
@@ -34,20 +33,9 @@ class ProtoHarness
     {
         cfg_.validate();
         mesh = std::make_unique<Mesh>(cfg_, eq);
-        DestinationPredictor *pred = nullptr;
-        if (cfg_.predictor == PredictorKind::sp) {
-            sp.emplace(cfg_, cfg_.numCores);
-            pred = &*sp;
-        } else if (cfg_.predictor != PredictorKind::none) {
-            GroupIndex idx = GroupIndex::none;
-            if (cfg_.predictor == PredictorKind::addr)
-                idx = GroupIndex::macroBlock;
-            else if (cfg_.predictor == PredictorKind::inst)
-                idx = GroupIndex::instruction;
-            group.emplace(cfg_, cfg_.numCores, idx);
-            pred = &*group;
-        }
-        sys = makeMemSys(cfg_, eq, *mesh, pred);
+        predictor = makePredictor(cfg_);
+        sp = dynamic_cast<SpPredictor *>(predictor.get());
+        sys = makeMemSys(cfg_, eq, *mesh, predictor.get());
     }
 
     /** 16-core paper configuration with a small L2 (fast tests). */
@@ -108,8 +96,8 @@ class ProtoHarness
 
     EventQueue eq;
     std::unique_ptr<Mesh> mesh;
-    std::optional<SpPredictor> sp;
-    std::optional<GroupPredictor> group;
+    std::unique_ptr<DestinationPredictor> predictor;
+    SpPredictor *sp = nullptr; ///< Borrowed from predictor when SP.
     std::unique_ptr<MemSys> sys;
 
   private:
