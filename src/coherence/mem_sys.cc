@@ -173,8 +173,6 @@ MemSys::accessL2(CoreId core, Addr addr, bool is_write, Pc pc,
                     // prediction action (Section 5.3 filtering).
                     ++stats_.predictionsSuppressed;
                 } else {
-                    SelfProfiler::Scope prof(self_prof_,
-                                             ProfScope::predictor);
                     PredictionQuery q;
                     q.core = core;
                     q.line = line;
@@ -387,7 +385,6 @@ MemSys::trainExternalAt(CoreId observer, Addr line, CoreId requester,
     PeerView v = peerView(observer, line);
     if (!v.valid)
         return;
-    SelfProfiler::Scope prof(self_prof_, ProfScope::predictor);
     predictor_->trainExternal(observer, line, map_.macroBlock(line),
                               v.lastPc, requester, is_write);
 }
@@ -543,7 +540,6 @@ MemSys::finishOutcome(Mshr &m)
 
     // Predictor training and feedback.
     if (predictor_) {
-        SelfProfiler::Scope prof(self_prof_, ProfScope::predictor);
         PredictionQuery q;
         q.core = m.core;
         q.line = m.line;
@@ -645,11 +641,7 @@ MemSys::sendPooled(Msg *slot)
     Mesh::DeliverFn deliver = [this, slot]() {
         if (checker_) [[unlikely]]
             checker_->onDeliver(*slot);
-        {
-            SelfProfiler::Scope prof(self_prof_,
-                                     ProfScope::protocol);
-            handleMsg(*slot);
-        }
+        handleMsg(*slot);
         msg_pool_.release(slot);
     };
     if (delivery_scheduler_ != nullptr) [[unlikely]] {

@@ -43,7 +43,6 @@
 #include "noc/mesh.hh"
 #include "predict/predictor.hh"
 #include "predict/sharing_filter.hh"
-#include "telemetry/self_profile.hh"
 
 namespace spp {
 
@@ -281,13 +280,6 @@ class MemSys
     AttributionSink *attributionSink() const { return attribution_; }
 
     /**
-     * Attach (or detach, with nullptr) the self-profiler timing the
-     * protocol-handler and predictor scopes. The caller (CmpSystem)
-     * keeps ownership.
-     */
-    void setSelfProfiler(SelfProfiler *p) { self_prof_ = p; }
-
-    /**
      * Fold every behavior-relevant piece of coherence state into
      * @p h: cache contents, writeback buffers, MSHRs, line locks,
      * memory versions and the version/transaction counters.
@@ -496,7 +488,6 @@ class MemSys
     ProtocolChecker *checker_ = nullptr;
     DeliveryScheduler *delivery_scheduler_ = nullptr;
     AttributionSink *attribution_ = nullptr;
-    SelfProfiler *self_prof_ = nullptr;
 
     /**
      * Freelist of in-flight coherence messages. A message occupies a

@@ -86,7 +86,6 @@ Mesh::inject(const Packet &pkt)
                "packet endpoints out of range: {} -> {}", pkt.src,
                pkt.dst);
 
-    SelfProfiler::Scope prof(self_prof_, ProfScope::noc);
     const Tick now = eq_.curTick();
     const unsigned n_hops = hops(pkt.src, pkt.dst);
 

@@ -27,7 +27,6 @@
 #include "common/types.hh"
 #include "event/event_queue.hh"
 #include "noc/packet.hh"
-#include "telemetry/self_profile.hh"
 
 namespace spp {
 
@@ -106,10 +105,6 @@ class Mesh
 
     unsigned numCores() const { return n_cores_; }
 
-    /** Attach (or detach with nullptr) the simulator self-profiler;
-     * inject() charges its routing work to the noc scope. */
-    void setSelfProfiler(SelfProfiler *p) { self_prof_ = p; }
-
   private:
     /** Index of the directional link from tile @p a to neighbour b. */
     std::size_t linkIndex(unsigned a, unsigned b) const;
@@ -126,7 +121,6 @@ class Mesh
     /** Cumulative serialization-busy ticks per directional link. */
     std::vector<std::uint64_t> link_busy_;
     NocStats stats_;
-    SelfProfiler *self_prof_ = nullptr;
     /** Scratch buffer reused by send() to avoid per-packet allocs. */
     std::vector<unsigned> path_scratch_;
 };

@@ -32,16 +32,9 @@ struct TelemetryOptions
     /** Chrome-trace event cap; drops are counted, not silent. */
     std::size_t maxTraceEvents = 1u << 20;
 
-    /** Wall-clock self-profiling of the simulator (kernel, protocol,
-     * predictor, NoC scopes). Adds prof.* gauges to the series and a
-     * self_profile manifest section; the values are host time and
-     * thus nondeterministic, so this is a separate opt-in. */
-    bool selfProfile = false;
-
     bool enabled() const { return !dir.empty(); }
 
-    /** SPP_TELEMETRY (dir), SPP_TELEMETRY_PERIOD (ticks) and
-     * SPP_SELF_PROFILE (any value but "0"). */
+    /** SPP_TELEMETRY (dir) and SPP_TELEMETRY_PERIOD (ticks). */
     static TelemetryOptions fromEnv();
 };
 

@@ -41,8 +41,6 @@ TelemetryOptions::fromEnv()
         else
             warn("ignoring invalid SPP_TELEMETRY_PERIOD='{}'", period);
     }
-    if (const char *sp = std::getenv("SPP_SELF_PROFILE"))
-        opts.selfProfile = std::string_view(sp) != "0";
     return opts;
 }
 
@@ -267,21 +265,6 @@ RunTelemetry::registerMetrics(CmpSystem &sys)
     for (std::size_t i = 0; i < links.size(); ++i)
         reg.addCell(strfmt("noc.link{}.busy_ticks", i), links[i]);
 
-    // Simulator self-profiling: host milliseconds per instrumented
-    // scope. Wall-clock gauges, so the series is only deterministic
-    // with self-profiling off (it is off by default).
-    if (const SelfProfiler *prof = sys.selfProfiler()) {
-        for (unsigned i = 0; i < numProfScopes; ++i) {
-            const auto scope = static_cast<ProfScope>(i);
-            reg.addGauge(strfmt("prof.{}.ms", toString(scope)),
-                         [prof, scope] {
-                             return static_cast<double>(
-                                        prof->ns(scope)) /
-                                 1e6;
-                         });
-        }
-    }
-
     if (extra_metrics_)
         extra_metrics_(reg);
 
@@ -304,9 +287,6 @@ RunTelemetry::attach(CmpSystem &sys)
         SPP_FATAL("cannot create telemetry directory '{}': {}",
                   opts_.dir, ec.message());
     }
-
-    if (opts_.selfProfile)
-        sys.enableSelfProfiling();
 
     registerMetrics(sys);
 
@@ -447,8 +427,6 @@ RunTelemetry::finish(const RunResult &result)
             }
         }
         manifest_.set("telemetry", std::move(files));
-        if (const SelfProfiler *prof = sys_->selfProfiler())
-            manifest_.set("self_profile", prof->toJson());
         manifest_.write(manifestPath());
     }
 }
