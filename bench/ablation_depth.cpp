@@ -24,7 +24,7 @@ main(int argc, char **argv)
     std::vector<ExperimentConfig> configs = {directoryConfig()};
     for (unsigned depth : depths) {
         ExperimentConfig cfg = predictedConfig(PredictorKind::sp);
-        cfg.tweak = [depth](Config &c) { c.historyDepth = depth; };
+        cfg.config.historyDepth = depth;
         configs.push_back(cfg);
     }
     const std::vector<std::string> names = allWorkloads();

@@ -25,12 +25,11 @@ main(int argc, char **argv)
     // Four configs per workload: (fixed, dram) x (dir, sp).
     std::vector<ExperimentConfig> configs;
     for (bool dram : {false, true}) {
-        ExperimentConfig dcfg = directoryConfig();
-        dcfg.tweak = [dram](Config &c) { c.enableDram = dram; };
-        ExperimentConfig scfg = predictedConfig(PredictorKind::sp);
-        scfg.tweak = dcfg.tweak;
-        configs.push_back(dcfg);
-        configs.push_back(scfg);
+        for (ExperimentConfig cfg :
+             {directoryConfig(), predictedConfig(PredictorKind::sp)}) {
+            cfg.config.enableDram = dram;
+            configs.push_back(cfg);
+        }
     }
     const std::vector<std::string> names = allWorkloads();
     const auto results = sweepMatrix(names, configs);

@@ -24,14 +24,11 @@ main(int argc, char **argv)
     // Four configs per workload: (MESIF, MESI) x (dir, sp).
     std::vector<ExperimentConfig> configs;
     for (bool f_state : {true, false}) {
-        ExperimentConfig dir_cfg = directoryConfig();
-        dir_cfg.tweak = [f_state](Config &c) {
-            c.enableFState = f_state;
-        };
-        ExperimentConfig sp_cfg = predictedConfig(PredictorKind::sp);
-        sp_cfg.tweak = dir_cfg.tweak;
-        configs.push_back(dir_cfg);
-        configs.push_back(sp_cfg);
+        for (ExperimentConfig cfg :
+             {directoryConfig(), predictedConfig(PredictorKind::sp)}) {
+            cfg.config.enableFState = f_state;
+            configs.push_back(cfg);
+        }
     }
     const std::vector<std::string> names = allWorkloads();
     const auto results = sweepMatrix(names, configs);

@@ -25,7 +25,7 @@ main(int argc, char **argv)
     std::vector<ExperimentConfig> configs = {directoryConfig()};
     for (unsigned bytes : sizes) {
         ExperimentConfig cfg = predictedConfig(PredictorKind::addr);
-        cfg.tweak = [bytes](Config &c) { c.macroBlockBytes = bytes; };
+        cfg.config.macroBlockBytes = bytes;
         configs.push_back(cfg);
     }
     const std::vector<std::string> names = allWorkloads();

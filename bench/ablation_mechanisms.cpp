@@ -16,7 +16,7 @@ namespace {
 struct Variant
 {
     const char *name;
-    std::function<void(Config &)> tweak;
+    void (*edit)(Config &);
 };
 
 } // namespace
@@ -49,7 +49,7 @@ main(int argc, char **argv)
     std::vector<ExperimentConfig> configs = {directoryConfig()};
     for (const Variant &v : variants) {
         ExperimentConfig cfg = predictedConfig(PredictorKind::sp);
-        cfg.tweak = v.tweak;
+        v.edit(cfg.config);
         configs.push_back(cfg);
     }
     const std::vector<std::string> names = allWorkloads();

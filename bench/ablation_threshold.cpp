@@ -25,7 +25,7 @@ main(int argc, char **argv)
     std::vector<ExperimentConfig> configs = {directoryConfig()};
     for (double thr : thresholds) {
         ExperimentConfig cfg = predictedConfig(PredictorKind::sp);
-        cfg.tweak = [thr](Config &c) { c.hotThreshold = thr; };
+        cfg.config.hotThreshold = thr;
         configs.push_back(cfg);
     }
     const std::vector<std::string> names = allWorkloads();

@@ -286,11 +286,8 @@ prepareTraceStore(std::vector<SweepJob> &jobs)
     std::vector<SweepJob> recorders;
     std::set<std::uint64_t> seen;
     for (SweepJob &job : jobs) {
-        Config cfg = job.config.config;
-        if (job.config.tweak)
-            job.config.tweak(cfg);
-        const std::uint64_t key =
-            traceKeyHash(job.workload, cfg, job.config.scale);
+        const std::uint64_t key = traceKeyHash(
+            job.workload, job.config.config, job.config.scale);
         const std::string path =
             tracePath(g_trace.dir, job.workload, key);
         if ((g_trace.record || !traceFileExists(path)) &&

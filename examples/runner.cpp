@@ -48,9 +48,6 @@ main(int argc, char **argv)
 {
     std::string workload = "ocean";
     ExperimentConfig cfg;
-    unsigned depth = 2;
-    double threshold = 0.10;
-    bool filter = false;
     bool raw = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -100,13 +97,14 @@ main(int argc, char **argv)
             cfg.config.predictorEntries =
                 static_cast<unsigned>(std::atoi(next()));
         } else if (arg == "--filter") {
-            filter = true;
+            cfg.config.enableSharingFilter = true;
         } else if (arg == "--raw") {
             raw = true;
         } else if (arg == "--depth") {
-            depth = static_cast<unsigned>(std::atoi(next()));
+            cfg.config.historyDepth =
+                static_cast<unsigned>(std::atoi(next()));
         } else if (arg == "--threshold") {
-            threshold = std::atof(next());
+            cfg.config.hotThreshold = std::atof(next());
         } else {
             usage(argv[0]);
         }
@@ -117,12 +115,6 @@ main(int argc, char **argv)
         cfg.config.predictor == PredictorKind::none) {
         cfg.config.predictor = PredictorKind::sp;
     }
-    cfg.tweak = [=](Config &c) {
-        c.historyDepth = depth;
-        c.hotThreshold = threshold;
-        c.enableSharingFilter = filter;
-    };
-
     ExperimentResult r = runExperiment(workload, cfg);
     const RunResult &run = r.run;
 

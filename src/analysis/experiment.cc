@@ -72,14 +72,12 @@ ExperimentResult
 runExperiment(const std::string &workload_name,
               const ExperimentConfig &xcfg)
 {
-    Config cfg = xcfg.config;
-    if (xcfg.tweak)
-        xcfg.tweak(cfg);
+    const Config &cfg = xcfg.config;
 
     // Consult the result store first: a warm entry short-circuits
-    // the whole run. Keys hash the *tweaked* config plus everything
-    // else that determines the result (workload, scale, trace flags,
-    // code version); uncacheable cells (see resultCacheable()) fall
+    // the whole run. Keys hash the config plus everything else that
+    // determines the result (workload, scale, trace flags, code
+    // version); uncacheable cells (see resultCacheable()) fall
     // through to a normal live run.
     std::string result_path;
     std::string result_key;
@@ -105,9 +103,6 @@ runExperiment(const std::string &workload_name,
         }
     }
 
-    // Resolve the trace mode against the *tweaked* config — a sweep
-    // tweak may change the seed or geometry, which are part of the
-    // store key.
     TraceMode tmode = TraceMode::off;
     std::string trace_file;
     if (!xcfg.trace.replayFile.empty()) {

@@ -59,12 +59,6 @@ struct ExperimentConfig
      * per-job labels). */
     std::string telemetryLabel;
 
-    /** Per-cell Config edits applied to a copy of `config` just
-     * before the run; for sweep grids that specialize a shared
-     * base cell-by-cell. Prefer editing `config` directly. */
-    // lint: allow(std-function) — setup-time binding, not per-event.
-    std::function<void(Config &)> tweak;
-
     /** Touch the built system before the run (e.g. profile seeding,
      * thread-map changes). */
     // lint: allow(std-function) — setup-time binding, not per-event.

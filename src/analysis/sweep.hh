@@ -12,9 +12,9 @@
  * Determinism guarantee: a given (workload, config, seed) job yields
  * a bit-identical ExperimentResult whether the sweep runs on one
  * thread or many; only wall-clock time and the interleaving of
- * progress lines change. Jobs that share a Config::tweak / prepare
- * callback may invoke it concurrently, so those callbacks must be
- * re-entrant (capture by value, mutate only their arguments).
+ * progress lines change. Jobs that share a prepare callback may
+ * invoke it concurrently, so those callbacks must be re-entrant
+ * (capture by value, mutate only their arguments).
  */
 
 #ifndef SPP_ANALYSIS_SWEEP_HH

@@ -5,8 +5,8 @@
  *
  * One entry caches the full ExperimentResult of one experiment cell,
  * keyed by everything that determines it: the workload name, the
- * iteration scale, the trace-collection flags, the complete (tweaked)
- * Config rendering, and the code version (git describe). Sweeps
+ * iteration scale, the trace-collection flags, the complete Config
+ * rendering, and the code version (git describe). Sweeps
  * consult the store before simulating; a warm cell deserializes to a
  * result byte-identical to a live run, a cold cell simulates and
  * populates the entry atomically (temp + rename, the shared
@@ -65,8 +65,8 @@ struct ResultStoreStats
 ResultStoreStats &resultStoreStats();
 
 /**
- * Canonical key of one experiment cell. @p cfg must be the fully
- * tweaked per-cell config. @p git is the code version baked into the
+ * Canonical key of one experiment cell. @p cfg is the cell's
+ * complete config. @p git is the code version baked into the
  * key — production callers pass gitDescribe(); tests pass synthetic
  * values to exercise staleness without rebuilding.
  */

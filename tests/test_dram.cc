@@ -103,7 +103,7 @@ TEST(DramSystem, WorkloadSeesRowBehaviour)
     auto run = [](bool dram) {
         ExperimentConfig cfg;
         cfg.scale = 0.5;
-        cfg.tweak = [dram](Config &c) { c.enableDram = dram; };
+        cfg.config.enableDram = dram;
         return runExperiment("radix", cfg); // Streaming-heavy.
     };
     ExperimentResult fixed = run(false);
@@ -128,7 +128,7 @@ TEST(DramSystem, AllProtocolsRunWithDram)
         cfg.scale = 0.2;
         cfg.config.protocol = proto;
         cfg.config.predictor = kind;
-        cfg.tweak = [](Config &c) { c.enableDram = true; };
+        cfg.config.enableDram = true;
         ExperimentResult r = runExperiment("ocean", cfg);
         EXPECT_GT(r.run.ticks, 0u) << toString(proto);
     }

@@ -88,9 +88,7 @@ TEST(SharingFilterSystem, CutsWastedBandwidthOnWorkload)
         cfg.config.protocol = Protocol::predicted;
         cfg.config.predictor = PredictorKind::sp;
         cfg.scale = 0.5;
-        cfg.tweak = [filter](Config &c) {
-            c.enableSharingFilter = filter;
-        };
+        cfg.config.enableSharingFilter = filter;
         return runExperiment("radix", cfg);
     };
     ExperimentResult off = run(false);
@@ -126,7 +124,7 @@ TEST(HotSetCap, BoundsPredictedSetSize)
         cfg.config.protocol = Protocol::predicted;
         cfg.config.predictor = PredictorKind::sp;
         cfg.scale = 0.5;
-        cfg.tweak = [cap](Config &c) { c.maxHotSetSize = cap; };
+        cfg.config.maxHotSetSize = cap;
         // facesim: no locks, so every predicted set comes from a
         // (capped) hot-set extraction (lock-holder unions are
         // intentionally exempt from the cap).
@@ -247,7 +245,7 @@ TEST(MesiMode, WorkloadsStayCoherent)
     cfg.scale = 0.25;
     cfg.config.protocol = Protocol::predicted;
     cfg.config.predictor = PredictorKind::sp;
-    cfg.tweak = [](Config &c) { c.enableFState = false; };
+    cfg.config.enableFState = false;
     ExperimentResult r = runExperiment("ocean", cfg);
     EXPECT_GT(r.run.ticks, 0u);
     EXPECT_GT(r.run.mem.communicatingMisses.value(), 0u);
@@ -258,9 +256,7 @@ TEST(MesiMode, FStateLowersMissLatencyOnSharedReads)
     auto run = [](bool f_state) {
         ExperimentConfig cfg;
         cfg.scale = 0.5;
-        cfg.tweak = [f_state](Config &c) {
-            c.enableFState = f_state;
-        };
+        cfg.config.enableFState = f_state;
         // lu: one produced block read by all fifteen consumers --
         // only the first read can come from the (E/M) producer; the
         // rest need the F chain.

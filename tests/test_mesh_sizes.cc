@@ -83,14 +83,12 @@ TEST_P(MeshSizes, WorkloadRunsEndToEnd)
     cfg.scale = 0.2;
     cfg.config.protocol = Protocol::predicted;
     cfg.config.predictor = PredictorKind::sp;
-    cfg.tweak = [cores = cores, x = x, y = y, fmt = fmt](Config &c) {
-        c.numCores = cores;
-        c.meshX = x;
-        c.meshY = y;
-        c.sharerFormat = fmt;
-        c.l2Bytes = 128 * 1024;
-        c.l1Bytes = 4 * 1024;
-    };
+    cfg.config.numCores = cores;
+    cfg.config.meshX = x;
+    cfg.config.meshY = y;
+    cfg.config.sharerFormat = fmt;
+    cfg.config.l2Bytes = 128 * 1024;
+    cfg.config.l1Bytes = 4 * 1024;
     ExperimentResult r = runExperiment("ocean", cfg);
     EXPECT_GT(r.run.ticks, 0u);
     EXPECT_GT(r.run.mem.communicatingMisses.value(), 0u);
