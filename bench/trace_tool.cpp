@@ -12,9 +12,10 @@
  *       Decode FILE and print its provenance and op histogram.
  *
  *   trace_tool replay FILE [--protocol directory|broadcast|
- *                           predicted]
+ *                           predicted|multicast]
  *       Drive a machine of the trace's geometry from FILE and
- *       print the run summary.
+ *       print the run summary; predicted and multicast use the SP
+ *       predictor.
  *
  *   trace_tool bench WORKLOAD [--scale S] [--cores N] [--seed N]
  *                             [--only live|replay]
@@ -56,25 +57,12 @@ usage()
                  "[--cores N] [--seed N]\n"
                  "       trace_tool info FILE\n"
                  "       trace_tool replay FILE [--protocol "
-                 "directory|broadcast|predicted]\n"
+                 "directory|broadcast|predicted|multicast]\n"
                  "       trace_tool bench WORKLOAD [--scale S] "
                  "[--cores N] [--seed N]\n"
                  "       trace_tool import-mcsim OUT THREAD0 "
                  "[THREAD1 ...] [--sync-every N]\n");
     return 2;
-}
-
-Protocol
-protocolFrom(const std::string &s)
-{
-    if (s == "directory")
-        return Protocol::directory;
-    if (s == "broadcast")
-        return Protocol::broadcast;
-    if (s == "predicted")
-        return Protocol::predicted;
-    SPP_FATAL("unknown protocol '{}' (directory|broadcast|"
-              "predicted)", s);
 }
 
 double
@@ -236,18 +224,23 @@ cmdReplay(int argc, char **argv)
 {
     if (argc < 3)
         return usage();
-    Protocol proto = Protocol::directory;
+    Config cfg;
     for (int i = 3; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--protocol") == 0 && i + 1 < argc)
-            proto = protocolFrom(argv[++i]);
-        else
+        if (std::strcmp(argv[i], "--protocol") != 0 || i + 1 >= argc)
             return usage();
+        const auto proto = parseProtocolName(argv[++i]);
+        if (!proto)
+            SPP_FATAL("unknown protocol '{}' (directory|broadcast|"
+                      "predicted|multicast)", argv[i]);
+        cfg.protocol = *proto;
     }
+    // The predicting protocols replay with the paper's SP predictor.
+    if (cfg.protocol == Protocol::predicted ||
+        cfg.protocol == Protocol::multicast)
+        cfg.predictor = PredictorKind::sp;
     auto trace = std::make_shared<TraceData>(
         loadTraceOrFatal(argv[2]));
 
-    Config cfg;
-    cfg.protocol = proto;
     cfg.numCores = trace->meta.numThreads;
     cfg.lineBytes = trace->meta.lineBytes;
     meshFor(cfg.numCores, cfg.meshX, cfg.meshY);

@@ -534,36 +534,6 @@ requireWorkload(const std::string &name)
     return wl;
 }
 
-bool
-predictorFromName(const std::string &s, PredictorKind &out)
-{
-    if (s == "none") { out = PredictorKind::none; return true; }
-    if (s == "sp") { out = PredictorKind::sp; return true; }
-    if (s == "addr") { out = PredictorKind::addr; return true; }
-    if (s == "inst") { out = PredictorKind::inst; return true; }
-    if (s == "uni") { out = PredictorKind::uni; return true; }
-    return false;
-}
-
-bool
-protocolFromName(const std::string &s, Protocol &out)
-{
-    if (s == "directory") { out = Protocol::directory; return true; }
-    if (s == "broadcast") { out = Protocol::broadcast; return true; }
-    if (s == "predicted") { out = Protocol::predicted; return true; }
-    if (s == "multicast") { out = Protocol::multicast; return true; }
-    return false;
-}
-
-bool
-formatFromName(const std::string &s, SharerFormat &out)
-{
-    if (s == "full") { out = SharerFormat::full; return true; }
-    if (s == "coarse") { out = SharerFormat::coarse; return true; }
-    if (s == "limited") { out = SharerFormat::limited; return true; }
-    return false;
-}
-
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -794,14 +764,20 @@ scheduleFromText(const std::string &text, ModelCheckOptions &o,
         const std::string val =
             sp == std::string::npos ? "" : line.substr(sp + 1);
         if (key == "protocol") {
-            if (!protocolFromName(val, o.protocol))
+            const auto p = parseProtocolName(val);
+            if (!p)
                 return fail("bad protocol '" + val + "'");
+            o.protocol = *p;
         } else if (key == "predictor") {
-            if (!predictorFromName(val, o.predictor))
+            const auto k = parsePredictorName(val);
+            if (!k)
                 return fail("bad predictor '" + val + "'");
+            o.predictor = *k;
         } else if (key == "format") {
-            if (!formatFromName(val, o.format))
+            const auto f = parseSharerFormatName(val);
+            if (!f)
                 return fail("bad format '" + val + "'");
+            o.format = *f;
         } else if (key == "cores") {
             const unsigned long n = std::strtoul(val.c_str(),
                                                  nullptr, 10);
