@@ -17,13 +17,6 @@
  *       print the run summary; predicted and multicast use the SP
  *       predictor.
  *
- *   trace_tool bench WORKLOAD [--scale S] [--cores N] [--seed N]
- *                             [--only live|replay]
- *       Run WORKLOAD live, then replay the same ops from an
- *       in-memory trace, and report events/sec for both — the
- *       generator-overhead measurement ROADMAP.md asks for.
- *       --only restricts to one side (for external profilers).
- *
  *   trace_tool import-mcsim OUT THREAD0 [THREAD1 ...]
  *                           [--sync-every N]
  *       Convert per-thread mcsim TraceGen files into one
@@ -31,8 +24,6 @@
  *       the barrier-injection rule).
  */
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -58,90 +49,9 @@ usage()
                  "       trace_tool info FILE\n"
                  "       trace_tool replay FILE [--protocol "
                  "directory|broadcast|predicted|multicast]\n"
-                 "       trace_tool bench WORKLOAD [--scale S] "
-                 "[--cores N] [--seed N]\n"
                  "       trace_tool import-mcsim OUT THREAD0 "
                  "[THREAD1 ...] [--sync-every N]\n");
     return 2;
-}
-
-double
-wallSeconds()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now()
-                   .time_since_epoch())
-        .count();
-}
-
-/** Shared record/bench option block. */
-struct RunArgs
-{
-    double scale = 1.0;
-    unsigned cores = 0; ///< 0 = Config default.
-    std::uint64_t seed = 0;
-    bool seedSet = false;
-    bool runLive = true;
-    bool runReplay = true;
-};
-
-bool
-parseRunArgs(int argc, char **argv, int first, RunArgs &out)
-{
-    for (int i = first; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-            out.scale = bench::parsePositiveFlag("--scale", argv[++i]);
-        } else if (std::strcmp(argv[i], "--cores") == 0 &&
-                   i + 1 < argc) {
-            out.cores = static_cast<unsigned>(bench::parseUnsigned(
-                "--cores", argv[++i], 1, maxCores));
-        } else if (std::strcmp(argv[i], "--seed") == 0 &&
-                   i + 1 < argc) {
-            out.seed = bench::parseUnsigned("--seed", argv[++i], 0,
-                                            ~std::uint64_t{0});
-            out.seedSet = true;
-        } else if (std::strcmp(argv[i], "--only") == 0 &&
-                   i + 1 < argc) {
-            const std::string side = argv[++i];
-            out.runLive = side == "live";
-            out.runReplay = side == "replay";
-            if (!out.runLive && !out.runReplay)
-                return false;
-        } else {
-            return false;
-        }
-    }
-    return true;
-}
-
-Config
-configFor(const RunArgs &args)
-{
-    Config cfg;
-    if (args.cores != 0) {
-        cfg.numCores = args.cores;
-        meshFor(args.cores, cfg.meshX, cfg.meshY);
-    }
-    if (args.seedSet)
-        cfg.seed = args.seed;
-    return cfg;
-}
-
-/** Run @p name's generator under @p cfg, capturing the op stream. */
-RunResult
-recordRun(const std::string &name, const Config &cfg, double scale,
-          TraceRecorder &rec)
-{
-    const WorkloadSpec *spec = findWorkload(name);
-    if (!spec)
-        SPP_FATAL("unknown workload '{}'", name);
-    CmpSystem sys(cfg);
-    sys.setTraceSink(&rec);
-    WorkloadParams params;
-    params.scale = scale;
-    return sys.run([spec, params](ThreadContext &ctx) {
-        return spec->run(ctx, params);
-    });
 }
 
 int
@@ -149,17 +59,39 @@ cmdRecord(int argc, char **argv)
 {
     if (argc < 4)
         return usage();
-    RunArgs args;
-    args.scale = defaultBenchScale();
-    if (!parseRunArgs(argc, argv, 4, args))
-        return usage();
     const std::string name = argv[2];
     const std::string out = argv[3];
-    const Config cfg = configFor(args);
+    double scale = defaultBenchScale();
+    Config cfg;
+    for (int i = 4; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
+            scale = bench::parsePositiveFlag("--scale", argv[++i]);
+        } else if (std::strcmp(argv[i], "--cores") == 0 &&
+                   i + 1 < argc) {
+            cfg.numCores = static_cast<unsigned>(bench::parseUnsigned(
+                "--cores", argv[++i], 1, maxCores));
+            meshFor(cfg.numCores, cfg.meshX, cfg.meshY);
+        } else if (std::strcmp(argv[i], "--seed") == 0 &&
+                   i + 1 < argc) {
+            cfg.seed = bench::parseUnsigned("--seed", argv[++i], 0,
+                                            ~std::uint64_t{0});
+        } else {
+            return usage();
+        }
+    }
+    const WorkloadSpec *spec = findWorkload(name);
+    if (!spec)
+        SPP_FATAL("unknown workload '{}'", name);
 
     TraceRecorder rec(cfg.numCores);
-    recordRun(name, cfg, args.scale, rec);
-    rec.data.meta = traceMetaFor(name, cfg, args.scale);
+    CmpSystem sys(cfg);
+    sys.setTraceSink(&rec);
+    WorkloadParams params;
+    params.scale = scale;
+    sys.run([spec, params](ThreadContext &ctx) {
+        return spec->run(ctx, params);
+    });
+    rec.data.meta = traceMetaFor(name, cfg, scale);
 
     std::string err;
     const auto bytes = encodeTrace(rec.data);
@@ -254,85 +186,6 @@ cmdReplay(int argc, char **argv)
 }
 
 int
-cmdBench(int argc, char **argv)
-{
-    if (argc < 3)
-        return usage();
-    RunArgs args;
-    args.scale = defaultBenchScale();
-    if (!parseRunArgs(argc, argv, 3, args))
-        return usage();
-    const std::string name = argv[2];
-    const Config cfg = configFor(args);
-
-    // Capture pass (untimed): freeze the generator's op stream.
-    TraceRecorder rec(cfg.numCores);
-    recordRun(name, cfg, args.scale, rec);
-    rec.data.meta = traceMetaFor(name, cfg, args.scale);
-    auto trace = std::make_shared<TraceData>(rec.data);
-
-    const WorkloadSpec *spec = findWorkload(name);
-    WorkloadParams params;
-    params.scale = args.scale;
-
-    // Alternate live/replay reps and keep the best of each, so
-    // first-touch and allocator effects don't bias either side.
-    constexpr int reps = 3;
-    RunResult live, replay;
-    double live_s = 0.0, replay_s = 0.0;
-    for (int r = 0; r < reps; ++r) {
-        if (args.runLive) {
-            const double t0 = wallSeconds();
-            CmpSystem live_sys(cfg);
-            live = live_sys.run([spec, params](ThreadContext &ctx) {
-                return spec->run(ctx, params);
-            });
-            const double ls = wallSeconds() - t0;
-            live_s = r == 0 ? ls : std::min(live_s, ls);
-        }
-        if (args.runReplay) {
-            const double t0 = wallSeconds();
-            CmpSystem replay_sys(cfg);
-            replay = replay_sys.run(replayThreadFn(trace));
-            const double rs = wallSeconds() - t0;
-            replay_s = r == 0 ? rs : std::min(replay_s, rs);
-        }
-    }
-
-    if (args.runLive && args.runReplay &&
-        (live.eventsExecuted != replay.eventsExecuted ||
-         live.ticks != replay.ticks))
-        SPP_FATAL("replay diverged: {} events / {} ticks live vs "
-                  "{} events / {} ticks replayed",
-                  live.eventsExecuted, live.ticks,
-                  replay.eventsExecuted, replay.ticks);
-
-    if (args.runLive)
-        std::printf("live:   %8.3f ms  %12.0f events/s\n",
-                    1e3 * live_s,
-                    static_cast<double>(live.eventsExecuted) /
-                        live_s);
-    if (args.runReplay)
-        std::printf("replay: %8.3f ms  %12.0f events/s%s\n",
-                    1e3 * replay_s,
-                    static_cast<double>(replay.eventsExecuted) /
-                        replay_s,
-                    "");
-    if (args.runLive && args.runReplay) {
-        const double live_eps =
-            static_cast<double>(live.eventsExecuted) / live_s;
-        const double replay_eps =
-            static_cast<double>(replay.eventsExecuted) / replay_s;
-        std::printf("replay speedup: %+.1f%% events/s (%llu events, "
-                    "identical live/replay)\n",
-                    100.0 * (replay_eps / live_eps - 1.0),
-                    static_cast<unsigned long long>(
-                        live.eventsExecuted));
-    }
-    return 0;
-}
-
-int
 cmdImportMcsim(int argc, char **argv)
 {
     if (argc < 4)
@@ -378,8 +231,6 @@ main(int argc, char **argv)
         return cmdInfo(argc, argv);
     if (cmd == "replay")
         return cmdReplay(argc, argv);
-    if (cmd == "bench")
-        return cmdBench(argc, argv);
     if (cmd == "import-mcsim")
         return cmdImportMcsim(argc, argv);
     return usage();
