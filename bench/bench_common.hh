@@ -243,9 +243,10 @@ finishBenchInit()
         SPP_FATAL("{}", geo_err);
     if (g_trace.record && g_trace.dir.empty())
         SPP_FATAL("--record needs --trace-dir (or SPP_TRACE_DIR)");
-    // Probe SPP_BENCH_SCALE and the --set overrides now so a typo
-    // dies at startup, not mid-sweep after a table header.
+    // Probe SPP_BENCH_SCALE, SPP_JOBS and the --set overrides now so
+    // a typo dies at startup, not mid-sweep after a table header.
     defaultBenchScale();
+    SweepRunner::defaultJobs();
     Config probe;
     applyGeometry(probe);
     const std::string cfg_err = configValidate(probe);

@@ -16,7 +16,6 @@
 #ifndef SPP_BENCH_FLAG_SET_HH
 #define SPP_BENCH_FLAG_SET_HH
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -32,28 +31,18 @@
 namespace spp {
 namespace bench {
 
-/**
- * Strictly parse @p text as a base-10 unsigned integer in
- * [@p lo, @p hi]; fatal (naming @p flag) on empty input, any
- * non-digit — including a sign, so "-1" is rejected instead of
- * wrapping to a huge unsigned — overflow, or an out-of-range value.
- */
+/** Strictly parse @p text as an unsigned integer in [@p lo, @p hi]
+ * (parseUnsigned in common/config); fatal, naming @p flag, on
+ * anything else. */
 inline std::uint64_t
 parseUnsigned(const char *flag, const char *text, std::uint64_t lo,
               std::uint64_t hi)
 {
-    bool digits = text != nullptr && *text != '\0';
-    for (const char *p = text; digits && *p != '\0'; ++p)
-        digits = *p >= '0' && *p <= '9';
-    if (!digits)
-        SPP_FATAL("{} expects an unsigned integer, got '{}'", flag,
-                  text ? text : "");
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long value = std::strtoull(text, &end, 10);
-    if (errno != 0 || *end != '\0' || value < lo || value > hi)
-        SPP_FATAL("{} must be in [{}, {}], got '{}'", flag, lo, hi,
-                  text);
+    std::uint64_t value = 0;
+    const std::string err =
+        spp::parseUnsigned(flag, text ? text : "", lo, hi, value);
+    if (!err.empty())
+        SPP_FATAL("{}", err);
     return value;
 }
 

@@ -6,9 +6,11 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <tuple>
 
 #include "analysis/report.hh"
+#include "common/config.hh"
 #include "common/format.hh"
 #include "common/logging.hh"
 #include "telemetry/options.hh"
@@ -38,21 +40,26 @@ AttributionOptions::fromEnv()
     AttributionOptions opts;
     if (const char *dir = std::getenv("SPP_ATTRIBUTION"))
         opts.dir = dir;
+    std::uint64_t n = 0;
     if (const char *k = std::getenv("SPP_ATTRIBUTION_TOPK")) {
-        const long long n = std::atoll(k);
-        if (n > 0)
-            opts.topK = static_cast<std::size_t>(n);
-        else
-            warn("ignoring invalid SPP_ATTRIBUTION_TOPK='{}'", k);
+        const std::string err =
+            parseUnsigned("SPP_ATTRIBUTION_TOPK", k, 1,
+                          std::numeric_limits<std::size_t>::max(), n);
+        if (!err.empty())
+            SPP_FATAL("{}", err);
+        opts.topK = static_cast<std::size_t>(n);
     }
     if (const char *r = std::getenv("SPP_ATTRIBUTION_REGION")) {
-        const long long n = std::atoll(r);
-        if (n > 0 && std::has_single_bit(
-                         static_cast<unsigned long long>(n))) {
-            opts.regionBytes = static_cast<unsigned>(n);
-        } else {
-            warn("ignoring invalid SPP_ATTRIBUTION_REGION='{}'", r);
-        }
+        const std::string err =
+            parseUnsigned("SPP_ATTRIBUTION_REGION", r, 1,
+                          std::numeric_limits<unsigned>::max(), n);
+        if (!err.empty())
+            SPP_FATAL("{}", err);
+        if (!std::has_single_bit(n))
+            SPP_FATAL("SPP_ATTRIBUTION_REGION must be a power of two, "
+                      "got '{}'",
+                      r);
+        opts.regionBytes = static_cast<unsigned>(n);
     }
     return opts;
 }

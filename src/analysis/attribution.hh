@@ -69,8 +69,9 @@ struct AttributionOptions
 
     bool enabled() const { return !dir.empty(); }
 
-    /** SPP_ATTRIBUTION (dir), SPP_ATTRIBUTION_TOPK,
-     * SPP_ATTRIBUTION_REGION (bytes). */
+    /** SPP_ATTRIBUTION (dir), SPP_ATTRIBUTION_TOPK (>= 1) and
+     * SPP_ATTRIBUTION_REGION (bytes, a power of two); a bad value is
+     * fatal. */
     static AttributionOptions fromEnv();
 };
 

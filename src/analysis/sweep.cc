@@ -7,6 +7,7 @@
 #include <mutex>
 #include <thread>
 
+#include "common/config.hh"
 #include "common/logging.hh"
 #include "telemetry/json.hh"
 #include "telemetry/manifest.hh"
@@ -89,10 +90,12 @@ unsigned
 SweepRunner::defaultJobs()
 {
     if (const char *env = std::getenv("SPP_JOBS")) {
-        const long n = std::atol(env);
-        if (n > 0)
-            return static_cast<unsigned>(n);
-        warn("ignoring invalid SPP_JOBS='{}'", env);
+        // The same range as the drivers' --jobs.
+        std::uint64_t n = 0;
+        const std::string err = parseUnsigned("SPP_JOBS", env, 1, 65536, n);
+        if (!err.empty())
+            SPP_FATAL("{}", err);
+        return static_cast<unsigned>(n);
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw != 0 ? hw : 1;

@@ -76,7 +76,8 @@ class SweepRunner
 
     unsigned threads() const { return n_threads_; }
 
-    /** SPP_JOBS override, else hardware_concurrency(), min 1. */
+    /** SPP_JOBS override (fatal unless an integer in [1, 65536]),
+     * else hardware_concurrency(), min 1. */
     static unsigned defaultJobs();
 
   private:

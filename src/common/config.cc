@@ -268,6 +268,23 @@ parsePositive(const std::string &what, const std::string &text,
     return "";
 }
 
+std::string
+parseUnsigned(const std::string &what, const std::string &text,
+              std::uint64_t lo, std::uint64_t hi, std::uint64_t &out)
+{
+    if (text.empty() ||
+        text.find_first_not_of("0123456789") != std::string::npos)
+        return what + " expects an unsigned integer, got '" + text +
+            "'";
+    errno = 0;
+    const unsigned long long v = std::strtoull(text.c_str(), nullptr, 10);
+    if (errno != 0 || v < lo || v > hi)
+        return what + " must be in [" + std::to_string(lo) + ", " +
+            std::to_string(hi) + "], got '" + text + "'";
+    out = v;
+    return "";
+}
+
 void
 meshFor(unsigned n, unsigned &x, unsigned &y)
 {
@@ -358,20 +375,12 @@ template <typename T>
 std::string
 parseFieldValue(const char *name, const std::string &v, T &out)
 {
-    if (v.empty() ||
-        v.find_first_not_of("0123456789") != std::string::npos)
-        return std::string(name) +
-            " expects an unsigned integer, got '" + v + "'";
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long parsed =
-        std::strtoull(v.c_str(), &end, 10);
-    if (errno != 0 || *end != '\0' ||
-        parsed > std::numeric_limits<T>::max())
-        return std::string(name) + " value '" + v +
-            "' is out of range";
-    out = static_cast<T>(parsed);
-    return "";
+    std::uint64_t parsed = 0;
+    std::string err = parseUnsigned(name, v, 0,
+                                    std::numeric_limits<T>::max(), parsed);
+    if (err.empty())
+        out = static_cast<T>(parsed);
+    return err;
 }
 
 } // namespace

@@ -182,6 +182,17 @@ struct Config
 std::string parsePositive(const std::string &what, const std::string &text,
                           double &out);
 
+/**
+ * Strictly parse all of @p text as a base-10 unsigned integer in
+ * [@p lo, @p hi] (worker counts, periods, sizes). Returns "" and sets
+ * @p out on success, else a complaint naming @p what: empty input,
+ * any non-digit (a sign too, so "-1" cannot wrap to a huge value),
+ * overflow and an out-of-range value are all rejected.
+ */
+std::string parseUnsigned(const std::string &what, const std::string &text,
+                          std::uint64_t lo, std::uint64_t hi,
+                          std::uint64_t &out);
+
 /** Most-square mesh factorization of @p n cores: x * y == n, x >= y
  * (a prime @p n yields an n x 1 row). */
 void meshFor(unsigned n, unsigned &x, unsigned &y);

@@ -34,7 +34,8 @@ struct TelemetryOptions
 
     bool enabled() const { return !dir.empty(); }
 
-    /** SPP_TELEMETRY (dir) and SPP_TELEMETRY_PERIOD (ticks). */
+    /** SPP_TELEMETRY (dir) and SPP_TELEMETRY_PERIOD (ticks >= 1;
+     * anything else is fatal). */
     static TelemetryOptions fromEnv();
 };
 

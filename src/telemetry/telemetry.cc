@@ -4,8 +4,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 
+#include "common/config.hh"
 #include "common/format.hh"
 #include "common/logging.hh"
 
@@ -35,11 +37,12 @@ TelemetryOptions::fromEnv()
     if (const char *dir = std::getenv("SPP_TELEMETRY"))
         opts.dir = dir;
     if (const char *period = std::getenv("SPP_TELEMETRY_PERIOD")) {
-        const long long n = std::atoll(period);
-        if (n > 0)
-            opts.samplePeriod = static_cast<Tick>(n);
-        else
-            warn("ignoring invalid SPP_TELEMETRY_PERIOD='{}'", period);
+        const std::string err =
+            parseUnsigned("SPP_TELEMETRY_PERIOD", period, 1,
+                          std::numeric_limits<Tick>::max(),
+                          opts.samplePeriod);
+        if (!err.empty())
+            SPP_FATAL("{}", err);
     }
     return opts;
 }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -193,4 +194,28 @@ TEST(Attribution, OptionsFromEnvValidation)
     EXPECT_FALSE(defaults.enabled());
     EXPECT_EQ(defaults.topK, 256u);
     EXPECT_EQ(defaults.regionBytes, 4096u);
+    setenv("SPP_ATTRIBUTION_TOPK", "8", 1);
+    setenv("SPP_ATTRIBUTION_REGION", "1024", 1);
+    const AttributionOptions set = AttributionOptions::fromEnv();
+    unsetenv("SPP_ATTRIBUTION_TOPK");
+    unsetenv("SPP_ATTRIBUTION_REGION");
+    EXPECT_EQ(set.topK, 8u);
+    EXPECT_EQ(set.regionBytes, 1024u);
+}
+
+TEST(AttributionDeathTest, BadEnvironmentValuesDieNamingThem)
+{
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    const auto fromEnv = [](const char *var, const char *value) {
+        setenv(var, value, 1);
+        AttributionOptions::fromEnv();
+    };
+    for (const char *bad : {"0", "abc", "8x", "-1"})
+        EXPECT_EXIT(fromEnv("SPP_ATTRIBUTION_TOPK", bad),
+                    testing::ExitedWithCode(1), "SPP_ATTRIBUTION_TOPK")
+            << bad;
+    for (const char *bad : {"3000", "0", "64k", "4294967296"})
+        EXPECT_EXIT(fromEnv("SPP_ATTRIBUTION_REGION", bad),
+                    testing::ExitedWithCode(1), "SPP_ATTRIBUTION_REGION")
+            << bad;
 }

@@ -1,10 +1,10 @@
 /**
  * @file
- * Bench CLI frontend tests: strict numeric flag and SPP_BENCH_SCALE
- * parsing, mesh factorization for awkward core counts, --mesh/--cores
- * consistency validation, and death tests proving bad input dies at
- * the flag site with exit code 1 instead of wrapping or silently
- * misconfiguring a sweep.
+ * Bench CLI frontend tests: strict numeric flag, SPP_BENCH_SCALE and
+ * SPP_JOBS parsing, mesh factorization for awkward core counts,
+ * --mesh/--cores consistency validation, and death tests proving bad
+ * input dies at the flag site with exit code 1 instead of wrapping or
+ * silently misconfiguring a sweep.
  */
 
 #include <gtest/gtest.h>
@@ -20,16 +20,16 @@ using namespace spp::bench;
 
 namespace {
 
-/** Parse @p args with perf_kernel's numeric flags (death-test child
- * only). */
+/** Parse @p args with an unsigned and a positive FlagSet flag
+ * (death-test child only). */
 void
-perfKernelFlagsWith(std::vector<const char *> args)
+numericFlagsWith(std::vector<const char *> args)
 {
-    FlagSet fs("perf_kernel flags");
+    FlagSet fs("numeric flags");
     fs.onUnsigned("--reps", "N", 1, 1000, "runs per cell",
                   [](std::uint64_t) {});
     fs.onPositive("--scale", "X", "workload scale", [](double) {});
-    args.insert(args.begin(), "perf_kernel");
+    args.insert(args.begin(), "bench");
     fs.parse(static_cast<int>(args.size()),
              const_cast<char **>(args.data()));
 }
@@ -40,6 +40,14 @@ benchScaleFrom(const char *value)
 {
     setenv("SPP_BENCH_SCALE", value, 1);
     defaultBenchScale();
+}
+
+/** Read SPP_JOBS = @p value (death-test child only). */
+void
+jobsFrom(const char *value)
+{
+    setenv("SPP_JOBS", value, 1);
+    SweepRunner::defaultJobs();
 }
 
 /** Run initBench on a crafted argv (death-test child only). */
@@ -134,16 +142,39 @@ TEST(BenchScaleDeathTest, BadEnvironmentValueDiesNamingIt)
             << bad;
 }
 
-TEST(PerfKernelFlagsDeathTest, BadRepsAndScaleDie)
+TEST(BenchJobsDeathTest, BadEnvironmentValueDiesNamingIt)
 {
     testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    EXPECT_EXIT(perfKernelFlagsWith({"--reps", "-1"}),
+    for (const char *bad : {"abc", "4abc", "", "0", "-2", "65537"})
+        EXPECT_EXIT(jobsFrom(bad), testing::ExitedWithCode(1),
+                    "SPP_JOBS")
+            << bad;
+    // initBench probes it before any driver output.
+    EXPECT_EXIT(
+        {
+            setenv("SPP_JOBS", "abc", 1);
+            initBenchWith({"--jobs", "2"});
+        },
+        testing::ExitedWithCode(1), "SPP_JOBS");
+}
+
+TEST(BenchJobs, ValidEnvironmentValueSetsTheDefault)
+{
+    setenv("SPP_JOBS", "3", 1);
+    EXPECT_EQ(SweepRunner::defaultJobs(), 3u);
+    unsetenv("SPP_JOBS");
+}
+
+TEST(FlagSetDeathTest, BadRepsAndScaleDie)
+{
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    EXPECT_EXIT(numericFlagsWith({"--reps", "-1"}),
                 testing::ExitedWithCode(1), "--reps");
-    EXPECT_EXIT(perfKernelFlagsWith({"--reps", "0"}),
+    EXPECT_EXIT(numericFlagsWith({"--reps", "0"}),
                 testing::ExitedWithCode(1), "--reps");
-    EXPECT_EXIT(perfKernelFlagsWith({"--scale", "abc"}),
+    EXPECT_EXIT(numericFlagsWith({"--scale", "abc"}),
                 testing::ExitedWithCode(1), "--scale");
-    EXPECT_EXIT(perfKernelFlagsWith({"--scale=-2"}),
+    EXPECT_EXIT(numericFlagsWith({"--scale=-2"}),
                 testing::ExitedWithCode(1), "--scale");
 }
 

@@ -477,6 +477,26 @@ TEST(TelemetryOptions, SanitizeFileLabel)
     EXPECT_EQ(sanitizeFileLabel("a b:c"), "a_b_c");
 }
 
+TEST(TelemetryOptions, PeriodFromEnvironment)
+{
+    setenv("SPP_TELEMETRY_PERIOD", "12", 1);
+    EXPECT_EQ(TelemetryOptions::fromEnv().samplePeriod, 12u);
+    unsetenv("SPP_TELEMETRY_PERIOD");
+}
+
+TEST(TelemetryOptionsDeathTest, BadPeriodDiesNamingIt)
+{
+    testing::GTEST_FLAG(death_test_style) = "threadsafe";
+    for (const char *bad : {"12x", "abc", "0", "-5"})
+        EXPECT_EXIT(
+            {
+                setenv("SPP_TELEMETRY_PERIOD", bad, 1);
+                TelemetryOptions::fromEnv();
+            },
+            testing::ExitedWithCode(1), "SPP_TELEMETRY_PERIOD")
+            << bad;
+}
+
 // ---------------------------------------------------------------------
 // Disabled mode
 // ---------------------------------------------------------------------
