@@ -8,11 +8,15 @@
  *   runner --workload ocean --protocol predicted --predictor sp
  *          [--scale 1.0] [--seed 1] [--entries N] [--filter]
  *          [--depth 2] [--threshold 0.10] [--list]
+ *
+ * The Config knobs parse exactly like a bench driver's --set
+ * FIELD=VALUE; a malformed value exits 2 naming the flag.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <iterator>
 #include <string>
 
 #include <iostream>
@@ -31,7 +35,7 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--workload NAME] [--protocol dir|broadcast|"
+        "usage: %s [--workload NAME] [--protocol directory|broadcast|"
         "predicted|multicast]\n"
         "          [--predictor sp|addr|inst|uni] [--scale S] "
         "[--seed N]\n"
@@ -40,6 +44,20 @@ usage(const char *argv0)
         argv0);
     std::exit(2);
 }
+
+/** Flags that set one Config field, by its configSetField name. */
+constexpr struct
+{
+    const char *flag;
+    const char *field;
+} fieldFlags[] = {
+    {"--protocol", "protocol"},
+    {"--predictor", "predictor"},
+    {"--seed", "seed"},
+    {"--entries", "predictorEntries"},
+    {"--depth", "historyDepth"},
+    {"--threshold", "hotThreshold"},
+};
 
 } // namespace
 
@@ -57,7 +75,19 @@ main(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
-        if (arg == "--list") {
+        auto check = [&](const std::string &err) {
+            if (err.empty())
+                return;
+            std::fprintf(stderr, "%s: %s: %s\n", argv[0], arg.c_str(),
+                         err.c_str());
+            std::exit(2);
+        };
+        const auto knob =
+            std::find_if(std::begin(fieldFlags), std::end(fieldFlags),
+                         [&](const auto &f) { return arg == f.flag; });
+        if (knob != std::end(fieldFlags)) {
+            check(configSetField(cfg.config, knob->field, next()));
+        } else if (arg == "--list") {
             for (const auto &spec : workloadRegistry())
                 std::printf("%-14s (%s, input %s)\n",
                             spec.name.c_str(), spec.suite.c_str(),
@@ -65,46 +95,12 @@ main(int argc, char **argv)
             return 0;
         } else if (arg == "--workload") {
             workload = next();
-        } else if (arg == "--protocol") {
-            const std::string p = next();
-            if (p == "dir" || p == "directory")
-                cfg.config.protocol = Protocol::directory;
-            else if (p == "broadcast")
-                cfg.config.protocol = Protocol::broadcast;
-            else if (p == "predicted")
-                cfg.config.protocol = Protocol::predicted;
-            else if (p == "multicast")
-                cfg.config.protocol = Protocol::multicast;
-            else
-                usage(argv[0]);
-        } else if (arg == "--predictor") {
-            const std::string p = next();
-            if (p == "sp")
-                cfg.config.predictor = PredictorKind::sp;
-            else if (p == "addr")
-                cfg.config.predictor = PredictorKind::addr;
-            else if (p == "inst")
-                cfg.config.predictor = PredictorKind::inst;
-            else if (p == "uni")
-                cfg.config.predictor = PredictorKind::uni;
-            else
-                usage(argv[0]);
         } else if (arg == "--scale") {
-            cfg.scale = std::atof(next());
-        } else if (arg == "--seed") {
-            cfg.config.seed = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--entries") {
-            cfg.config.predictorEntries =
-                static_cast<unsigned>(std::atoi(next()));
+            check(parsePositive("scale", next(), cfg.scale));
         } else if (arg == "--filter") {
             cfg.config.enableSharingFilter = true;
         } else if (arg == "--raw") {
             raw = true;
-        } else if (arg == "--depth") {
-            cfg.config.historyDepth =
-                static_cast<unsigned>(std::atoi(next()));
-        } else if (arg == "--threshold") {
-            cfg.config.hotThreshold = std::atof(next());
         } else {
             usage(argv[0]);
         }
