@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/core_set.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace spp {
@@ -34,13 +35,18 @@ class CommCounters
         : counts_(n_cores, 0)
     {}
 
-    /** Record one communication event towards each core in @p who. */
+    /** Record one communication event towards each core in @p who;
+     * every member must be a core of this bank. */
     void
     record(const CoreSet &who)
     {
-        for (CoreId c : who)
+        for (CoreId c : who) {
+            SPP_ASSERT(c < counts_.size(),
+                       "core {} recorded into a {}-core bank", c,
+                       counts_.size());
             if (counts_[c] < saturation)
                 ++counts_[c];
+        }
     }
 
     /** Total recorded volume (sum of all counters). */

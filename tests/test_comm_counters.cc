@@ -86,6 +86,13 @@ TEST(CommCounters, LifetimeTotalSurvivesReset)
     EXPECT_EQ(c.lifetimeTotal(), 4u);
 }
 
+TEST(CommCountersDeathTest, RecordPastTheBankDies)
+{
+    CommCounters c(16);
+    c.record(CoreSet{15});
+    EXPECT_DEATH(c.record(CoreSet{16}), "core 16 recorded into a 16-core");
+}
+
 // --- SpTable ---
 
 TEST(SpTable, MissingEntry)
