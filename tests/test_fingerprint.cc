@@ -187,6 +187,21 @@ fingerprintCells()
     for (const std::string &wl : variantWorkloads)
         for (const auto &[name, cfg] : knobs)
             cells.push_back({"16/" + wl + "/" + name, wl, cfg});
+
+    // 64-core SP prediction over the inexact sharer formats: the
+    // predicted path's early and peer-served unblocks update coarse
+    // and limited directory entries.
+    for (const std::string &wl : variantWorkloads) {
+        for (const auto &[fname, format] : formats) {
+            Config c = sp;
+            c.numCores = 64;
+            c.meshX = 8;
+            c.meshY = 8;
+            c.sharerFormat = format;
+            cells.push_back(
+                {"64-" + fname + "/" + wl + "/predicted-sp", wl, c});
+        }
+    }
     return cells;
 }
 
