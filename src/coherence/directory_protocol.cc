@@ -5,18 +5,8 @@ namespace spp {
 DirectoryMemSys::DirectoryMemSys(const Config &cfg, EventQueue &eq,
                                  Mesh &mesh,
                                  DestinationPredictor *predictor)
-    : MemSys(cfg, eq, mesh, predictor),
-      sharer_layout_(SharerLayout::fromConfig(cfg))
+    : MemSys(cfg, eq, mesh, predictor), dir_(cfg)
 {
-}
-
-DirEntry &
-DirectoryMemSys::dirAt(Addr line)
-{
-    return dir_
-        .try_emplace(line, DirEntry{SharerTracker(sharer_layout_),
-                                    invalidCore})
-        .first->second;
 }
 
 // ---------------------------------------------------------------------
@@ -26,13 +16,9 @@ DirectoryMemSys::dirAt(Addr line)
 void
 DirectoryMemSys::startMiss(Mshr &m)
 {
-    Msg req;
-    req.type = m.isWrite ? MsgType::reqWrite : MsgType::reqRead;
-    req.line = m.line;
-    req.src = m.core;
-    req.dst = map_.homeNode(m.line);
-    req.requester = m.core;
-    req.txn = m.txn;
+    const TxnKey key{m.core, m.txn};
+    Msg req = txnMsg(m.isWrite ? MsgType::reqWrite : MsgType::reqRead,
+                     m.line, m.core, map_.homeNode(m.line), key);
     req.isWrite = m.isWrite;
     req.hadCopy = m.hadLine;
     req.predicted = m.out.pred.valid();
@@ -41,13 +27,9 @@ DirectoryMemSys::startMiss(Mshr &m)
 
     if (m.out.pred.valid()) {
         for (CoreId t : m.out.pred.targets) {
-            Msg p;
-            p.type = m.isWrite ? MsgType::predWrite : MsgType::predRead;
-            p.line = m.line;
-            p.src = m.core;
-            p.dst = t;
-            p.requester = m.core;
-            p.txn = m.txn;
+            Msg p = txnMsg(m.isWrite ? MsgType::predWrite
+                                     : MsgType::predRead,
+                           m.line, m.core, t, key);
             p.isWrite = m.isWrite;
             p.predicted = true;
             sendMsg(p);
@@ -114,14 +96,8 @@ DirectoryMemSys::onNack(const Msg &msg)
         // Every predicted target refused and no data is on the way
         // from the directory: escalate so the home services the read.
         m->predFailedSent = true;
-        Msg f;
-        f.type = MsgType::predFailed;
-        f.line = m->line;
-        f.src = m->core;
-        f.dst = map_.homeNode(m->line);
-        f.requester = m->core;
-        f.txn = m->txn;
-        sendMsg(f);
+        sendMsg(txnMsg(MsgType::predFailed, m->line, m->core,
+                       map_.homeNode(m->line), TxnKey{m->core, m->txn}));
     }
     checkCompletion(*m);
 }
@@ -131,8 +107,8 @@ DirectoryMemSys::onGrant(const Msg &msg)
 {
     Mshr *m = mshrFor(msg.dst, msg.line);
     SPP_ASSERT(m, "grant for missing MSHR at core {}", msg.dst);
-    SPP_ASSERT(!m->grantReceived, "duplicate grant");
-    m->grantReceived = true;
+    SPP_ASSERT(!m->ordered, "duplicate grant");
+    m->ordered = true;
     m->mustAck = msg.set;
     m->needData = msg.needData;
     maybeRetryNacked(*m);
@@ -142,21 +118,15 @@ DirectoryMemSys::onGrant(const Msg &msg)
 void
 DirectoryMemSys::maybeRetryNacked(Mshr &m)
 {
-    if (!m.isWrite || !m.grantReceived)
+    if (!m.isWrite || !m.ordered)
         return;
     // Predicted targets that Nacked but are in the authoritative ack
     // set must be re-invalidated directly by the requester.
     const CoreSet to_retry = (m.nackedBy & m.mustAck) - m.retried;
     for (CoreId t : to_retry) {
         m.retried.set(t);
-        Msg inv;
-        inv.type = MsgType::inv;
-        inv.line = m.line;
-        inv.src = m.core;
-        inv.dst = t;
-        inv.requester = m.core;
-        inv.txn = m.txn;
-        sendMsg(inv);
+        sendMsg(txnMsg(MsgType::inv, m.line, m.core, t,
+                       TxnKey{m.core, m.txn}));
     }
 }
 
@@ -166,7 +136,7 @@ DirectoryMemSys::checkCompletion(Mshr &m)
     if (m.predRespPending != 0)
         return;
     if (m.isWrite) {
-        if (!m.grantReceived || !m.ackedBy.contains(m.mustAck))
+        if (!m.ordered || !m.ackedBy.contains(m.mustAck))
             return;
         if (m.needData && !m.dataReceived)
             return;
@@ -186,13 +156,8 @@ DirectoryMemSys::onCompleteMiss(Mshr &m)
 {
     if (cfg_.injectBug == 3 && m.txn % 61 == 0)
         return; // Checker self-test fault: lost unblock leaks the lock.
-    Msg u;
-    u.type = MsgType::unblock;
-    u.line = m.line;
-    u.src = m.core;
-    u.dst = map_.homeNode(m.line);
-    u.requester = m.core;
-    u.txn = m.txn;
+    Msg u = txnMsg(MsgType::unblock, m.line, m.core,
+                   map_.homeNode(m.line), TxnKey{m.core, m.txn});
     u.becameOwner = !m.isWrite;
     sendMsg(u);
 }
@@ -235,17 +200,14 @@ DirectoryMemSys::processRequest(const Msg &m)
 }
 
 void
-DirectoryMemSys::sendMemoryData(Addr line, CoreId requester,
-                                Mesif fill_state)
+DirectoryMemSys::sendMemoryData(const Msg &req, Mesif fill_state)
 {
-    eq_.scheduleAfter(memAccessLatency(line), [this, line, requester,
-                                        fill_state]() {
-        Msg d;
-        d.type = MsgType::data;
-        d.line = line;
-        d.src = map_.homeNode(line);
-        d.dst = requester;
-        d.requester = requester;
+    const Addr line = req.line;
+    const TxnKey key{req.requester, req.txn};
+    eq_.scheduleAfter(memAccessLatency(line), [this, line, key,
+                                               fill_state]() {
+        Msg d = txnMsg(MsgType::data, line, map_.homeNode(line),
+                       key.requester, key);
         d.fromMemory = true;
         d.fillState = fill_state;
         d.version = memVersion(line);
@@ -256,51 +218,33 @@ DirectoryMemSys::sendMemoryData(Addr line, CoreId requester,
 }
 
 void
-DirectoryMemSys::serviceReadFromDir(const Msg &m, DirEntry &e)
+DirectoryMemSys::serviceReadFromDir(const Msg &m, HomeDirectory::Entry &e)
 {
-    if (e.owner != invalidCore) {
-        SPP_ASSERT(e.owner != m.requester,
-                   "read miss by core {} on a line it owns",
-                   m.requester);
-        Msg f;
-        f.type = MsgType::fwdRead;
-        f.line = m.line;
-        f.src = map_.homeNode(m.line);
-        f.dst = e.owner;
-        f.requester = m.requester;
-        f.txn = m.txn;
-        sendMsg(f);
-    } else {
-        const bool solo = e.sharers.others(m.requester).empty();
-        sendMemoryData(m.line, m.requester,
-                       solo ? Mesif::exclusive
-                            : cfg_.cleanSharedFill());
-        e.sharers.set(m.requester);
-        e.owner = solo || cfg_.enableFState ? m.requester
-                                            : invalidCore;
+    if (e.owner == invalidCore) {
+        sendMemoryData(m, dir_.readFromMemory(e, m.requester));
         return;
     }
-    e.sharers.set(m.requester);
-    // MESIF: the requester becomes the new Forwarding owner. Plain
-    // MESI has no clean owner once the line is shared.
-    e.owner = cfg_.enableFState ? m.requester : invalidCore;
+    SPP_ASSERT(e.owner != m.requester,
+               "read miss by core {} on a line it owns", m.requester);
+    sendMsg(txnMsg(MsgType::fwdRead, m.line, map_.homeNode(m.line),
+                   e.owner, TxnKey{m.requester, m.txn}));
+    dir_.readFromOwner(e, m.requester);
 }
 
 void
 DirectoryMemSys::processRead(const Msg &m)
 {
-    DirEntry &e = dirAt(m.line);
+    HomeDirectory::Entry &e = dir_.at(m.line);
     const TxnKey key{m.requester, m.txn};
     if (m.predicted && e.owner != invalidCore &&
         e.owner != m.requester && m.set.test(e.owner) &&
-        !takeEarlyPredFailure(m.line, key)) {
+        !takeEarly(early_pred_failed_, m.line, key)) {
         // The predicted owner services the miss directly; the final
         // sharing state is applied when the requester unblocks. The
         // unblock may even have arrived already (a nearby owner can
         // satisfy the miss before the directory's lookup finishes).
         if (takeEarly(early_unblock_, m.line, key)) {
-            e.sharers.set(m.requester);
-            e.owner = cfg_.enableFState ? m.requester : invalidCore;
+            dir_.readFromOwner(e, m.requester);
             txns_.erase(m.line);
             locks_.release(m.line, key);
             return;
@@ -331,17 +275,13 @@ DirectoryMemSys::takeEarly(
     return false;
 }
 
-bool
-DirectoryMemSys::takeEarlyPredFailure(Addr line, const TxnKey &key)
-{
-    return takeEarly(early_pred_failed_, line, key);
-}
-
 void
 DirectoryMemSys::processWrite(const Msg &m)
 {
-    DirEntry &e = dirAt(m.line);
-    CoreSet must_ack = e.sharers.others(m.requester);
+    HomeDirectory::Entry &e = dir_.at(m.line);
+    const TxnKey key{m.requester, m.txn};
+    const CoreId home = map_.homeNode(m.line);
+    CoreSet must_ack = dir_.others(e, m.requester);
     if (cfg_.injectBug == 1) {
         // Checker self-test fault: silently forget one sharer, as a
         // real lost-invalidation bug would. Its stale copy survives
@@ -351,26 +291,18 @@ DirectoryMemSys::processWrite(const Msg &m)
             break;
         }
     }
-    const bool upgrade = m.hadCopy && e.sharers.test(m.requester);
+    const bool upgrade = m.hadCopy && dir_.mayShare(e, m.requester);
     const bool need_data = !upgrade;
     const CoreSet predicted = m.predicted ? m.set : CoreSet{};
 
     // Invalidate unpredicted sharers from the directory; predicted
     // ones are (normally) handled by the direct predicted requests.
-    for (CoreId t : must_ack - predicted) {
-        Msg inv;
-        inv.type = MsgType::inv;
-        inv.line = m.line;
-        inv.src = map_.homeNode(m.line);
-        inv.dst = t;
-        inv.requester = m.requester;
-        inv.txn = m.txn;
-        sendMsg(inv);
-    }
+    for (CoreId t : must_ack - predicted)
+        sendMsg(txnMsg(MsgType::inv, m.line, home, t, key));
 
     if (need_data) {
         if (e.owner == invalidCore) {
-            sendMemoryData(m.line, m.requester, Mesif::modified);
+            sendMemoryData(m, Mesif::modified);
         } else if (e.owner == m.requester) {
             SPP_PANIC("write miss by core {} on a line it owns",
                       m.requester);
@@ -380,19 +312,12 @@ DirectoryMemSys::processWrite(const Msg &m)
         // with ownerAck.
     }
 
-    Msg g;
-    g.type = MsgType::grant;
-    g.line = m.line;
-    g.src = map_.homeNode(m.line);
-    g.dst = m.requester;
-    g.requester = m.requester;
-    g.txn = m.txn;
+    Msg g = txnMsg(MsgType::grant, m.line, home, m.requester, key);
     g.set = must_ack;
     g.needData = need_data;
     sendMsg(g);
 
-    e.sharers.setSingle(m.requester);
-    e.owner = m.requester;
+    dir_.write(e, m.requester);
 }
 
 void
@@ -409,7 +334,7 @@ DirectoryMemSys::onPredFailed(const Msg &m)
     if (!t->waitingPeer)
         return; // The directory path is already servicing the read.
     t->waitingPeer = false;
-    serviceReadFromDir(m, dirAt(m.line));
+    serviceReadFromDir(m, dir_.at(m.line));
 }
 
 void
@@ -430,11 +355,8 @@ DirectoryMemSys::onUnblock(const Msg &m)
                "unblock for a foreign transaction");
     if (t->waitingPeer && m.becameOwner) {
         // Predicted read serviced entirely by the peer path: record
-        // the requester as the new F holder now (plain MESI keeps no
-        // clean owner).
-        DirEntry &e = dirAt(m.line);
-        e.sharers.set(m.requester);
-        e.owner = cfg_.enableFState ? m.requester : invalidCore;
+        // the requester as the new F holder now.
+        dir_.readFromOwner(dir_.at(m.line), m.requester);
     }
     txns_.erase(m.line);
     // Drop a stale early predFailed record, if any (the read was
@@ -444,32 +366,9 @@ DirectoryMemSys::onUnblock(const Msg &m)
 }
 
 void
-DirectoryMemSys::onWbNotice(const Msg &m)
-{
-    onWriteback(m.requester, m.line);
-    if (m.ownerAck)
-        depositMemVersion(m.line, m.version);
-    applyWriteback(m.requester, m.line);
-    locks_.release(m.line, TxnKey{m.requester, m.txn});
-}
-
-void
 DirectoryMemSys::onWriteback(CoreId core, Addr line)
 {
-    auto it = dir_.find(line);
-    if (it == dir_.end())
-        return;
-    it->second.sharers.reset(core);
-    if (it->second.owner == core)
-        it->second.owner = invalidCore;
-}
-
-void
-DirectoryMemSys::onDirUpdate(const Msg &m)
-{
-    // Dirty-data deposit from an owner that downgraded on a read
-    // forward; carries no sharing-state change.
-    depositMemVersion(m.line, m.version);
+    dir_.writeback(line, core);
 }
 
 // ---------------------------------------------------------------------
@@ -482,34 +381,10 @@ DirectoryMemSys::onFwdRead(const Msg &m)
     const CoreId self = m.dst;
     countSnoop();
     trainExternalAt(self, m.line, m.requester, false);
-    PeerView v = peerView(self, m.line);
+    const PeerView v = peerView(self, m.line);
     SPP_ASSERT(v.valid && canForward(v.state),
                "fwdRead at core {} without a forwardable copy", self);
-
-    const Tick lat = cfg_.l2TagLatency + cfg_.l2DataLatency;
-    if (v.state == Mesif::modified) {
-        // Downgrade writes the dirty line back to the home tile.
-        Msg dep;
-        dep.type = MsgType::dirUpdate;
-        dep.line = m.line;
-        dep.src = self;
-        dep.dst = map_.homeNode(m.line);
-        dep.requester = m.requester;
-        dep.version = v.version;
-        sendMsgAfter(lat, dep);
-    }
-    downgradeToShared(self, m.line);
-
-    Msg d;
-    d.type = MsgType::data;
-    d.line = m.line;
-    d.src = self;
-    d.dst = m.requester;
-    d.requester = m.requester;
-    d.txn = m.txn;
-    d.fillState = cfg_.cleanSharedFill();
-    d.version = v.version;
-    sendMsgAfter(lat, d);
+    forwardCopy(m, v);
 }
 
 void
@@ -518,25 +393,7 @@ DirectoryMemSys::onInv(const Msg &m)
     const CoreId self = m.dst;
     countSnoop();
     trainExternalAt(self, m.line, m.requester, true);
-    PeerView v = peerView(self, m.line);
-
-    Msg a;
-    a.type = MsgType::ackInv;
-    a.line = m.line;
-    a.src = self;
-    a.dst = m.requester;
-    a.requester = m.requester;
-    a.txn = m.txn;
-    a.hadCopy = v.valid;
-    Tick lat = cfg_.l2TagLatency;
-    if (v.valid && canForward(v.state)) {
-        a.ownerAck = true;
-        a.version = v.version;
-        lat += cfg_.l2DataLatency;
-    }
-    if (v.valid)
-        invalidateAt(self, m.line);
-    sendMsgAfter(lat, a);
+    invalidateAndAck(m, peerView(self, m.line));
 }
 
 void
@@ -545,14 +402,8 @@ DirectoryMemSys::onPredRequest(const Msg &m)
     const CoreId self = m.dst;
     const TxnKey key{m.requester, m.txn};
 
-    auto send_nack = [this, &m, self]() {
-        Msg n;
-        n.type = MsgType::nack;
-        n.line = m.line;
-        n.src = self;
-        n.dst = m.requester;
-        n.requester = m.requester;
-        n.txn = m.txn;
+    auto send_nack = [this, &m, self, &key]() {
+        Msg n = txnMsg(MsgType::nack, m.line, self, m.requester, key);
         // A nack always answers a predicted request; carry the flag
         // so the requester decrements predRespPending (onNack guards
         // on it, like the other prediction responses).
@@ -586,29 +437,7 @@ DirectoryMemSys::onPredRequest(const Msg &m)
         const bool ok = locks_.tryAcquire(m.line, key);
         SPP_ASSERT(ok, "pred reservation raced");
         trainExternalAt(self, m.line, m.requester, false);
-        const Tick lat = cfg_.l2TagLatency + cfg_.l2DataLatency;
-        if (v.state == Mesif::modified) {
-            Msg dep;
-            dep.type = MsgType::dirUpdate;
-            dep.line = m.line;
-            dep.src = self;
-            dep.dst = map_.homeNode(m.line);
-            dep.requester = m.requester;
-            dep.version = v.version;
-            sendMsgAfter(lat, dep);
-        }
-        downgradeToShared(self, m.line);
-        Msg d;
-        d.type = MsgType::data;
-        d.line = m.line;
-        d.src = self;
-        d.dst = m.requester;
-        d.requester = m.requester;
-        d.txn = m.txn;
-        d.predicted = true;
-        d.fillState = cfg_.cleanSharedFill();
-        d.version = v.version;
-        sendMsgAfter(lat, d);
+        forwardCopy(m, v);
         return;
     }
 
@@ -620,23 +449,7 @@ DirectoryMemSys::onPredRequest(const Msg &m)
     const bool ok = locks_.tryAcquire(m.line, key);
     SPP_ASSERT(ok, "pred reservation raced");
     trainExternalAt(self, m.line, m.requester, true);
-    Msg a;
-    a.type = MsgType::ackInv;
-    a.line = m.line;
-    a.src = self;
-    a.dst = m.requester;
-    a.requester = m.requester;
-    a.txn = m.txn;
-    a.predicted = true;
-    a.hadCopy = true;
-    Tick lat = cfg_.l2TagLatency;
-    if (canForward(v.state)) {
-        a.ownerAck = true;
-        a.version = v.version;
-        lat += cfg_.l2DataLatency;
-    }
-    invalidateAt(self, m.line);
-    sendMsgAfter(lat, a);
+    invalidateAndAck(m, v);
 }
 
 // ---------------------------------------------------------------------
@@ -680,13 +493,15 @@ DirectoryMemSys::handleMsg(const Msg &m)
         onUnblock(m);
         break;
       case MsgType::wbNotice:
-        onWbNotice(m);
+        applyWriteback(m);
         break;
       case MsgType::wbAck:
         finishWriteback(m.dst, m.line);
         break;
       case MsgType::dirUpdate:
-        onDirUpdate(m);
+        // Dirty-data deposit from an owner that downgraded on a read
+        // forward; carries no sharing-state change.
+        depositMemVersion(m.line, m.version);
         break;
       default:
         SPP_PANIC("directory protocol got {}", toString(m.type));
@@ -697,62 +512,19 @@ DirectoryMemSys::handleMsg(const Msg &m)
 // Introspection
 // ---------------------------------------------------------------------
 
-const DirEntry *
-DirectoryMemSys::dirEntry(Addr line) const
-{
-    auto it = dir_.find(line);
-    return it == dir_.end() ? nullptr : &it->second;
-}
-
 void
 DirectoryMemSys::checkDirectory() const
 {
-    // lint: allow(unordered-iter) — order-independent assertion scan.
-    for (const auto &[line, e] : dir_) {
-        if (e.owner != invalidCore) {
-            SPP_ASSERT(e.sharers.test(e.owner),
-                       "owner {} of line {} not in sharer set",
-                       e.owner, line);
-            PeerView v = peerView(e.owner, line);
-            SPP_ASSERT(v.valid && canForward(v.state),
-                       "directory owner {} of line {} holds {}",
-                       e.owner, line,
-                       v.valid ? toString(v.state) : "nothing");
-        }
-        // Every actual holder must be a recorded sharer (the reverse
-        // need not hold: silent Shared evictions leave stale bits).
-        for (unsigned c = 0; c < n_cores_; ++c) {
-            PeerView v = peerView(c, line);
-            SPP_ASSERT(!v.valid || e.sharers.test(c),
-                       "core {} holds line {} unknown to directory",
-                       c, line);
-            if (v.valid && canForward(v.state)) {
-                SPP_ASSERT(e.owner == c,
-                           "core {} holds {} of line {} but owner "
-                           "is {}", c, toString(v.state), line,
-                           e.owner);
-            }
-        }
-    }
+    dir_.check([this](CoreId c, Addr line) {
+        return peerView(c, line).state;
+    });
 }
 
 void
 DirectoryMemSys::hashState(StateHasher &h) const
 {
     MemSys::hashState(h);
-    // Sharer trackers hash by behavior: members() + overflow is
-    // injective up to behavioral equivalence in every format (an
-    // overflowed limited entry acts the same whatever its retained
-    // pointers).
-    // lint: allow(unordered-iter) — commutative fold.
-    for (const auto &[line, e] : dir_) {
-        StateHasher sub;
-        sub.mix(line);
-        sub.mix(e.owner);
-        sub.mix(e.sharers.overflowed());
-        hashCoreSet(sub, e.sharers.members());
-        h.mixUnordered(sub.value());
-    }
+    dir_.hashInto(h);
     txns_.forEach([&](std::uint64_t line, const DirTxn &t) {
         StateHasher sub;
         sub.mix(line);

@@ -6,9 +6,9 @@
  * Baseline transaction flow (no prediction):
  *   requester --req--> home directory --fwd/inv--> peers --data/ack-->
  *   requester --unblock--> home.
- * The home directory serializes transactions per line (LineLockTable)
- * and keeps a full-map sharer vector plus the owner (the E/M/F
- * holder, which can source data cache-to-cache).
+ * The home serializes transactions per line (LineLockTable) and keeps
+ * each line's sharer set and owner (the E/M/F holder, which can
+ * source data cache-to-cache) in a HomeDirectory.
  *
  * Prediction extension (Section 4.5): on a miss, the requester sends
  * predicted requests directly to the predicted nodes and, in
@@ -29,23 +29,10 @@
 
 #include <unordered_map>
 
+#include "coherence/home_directory.hh"
 #include "coherence/mem_sys.hh"
-#include "common/sharer_tracker.hh"
 
 namespace spp {
-
-/**
- * Directory entry: a sharer set in the configured representation
- * (full map / coarse vector / limited pointers; sharer_tracker.hh)
- * plus the exact owner. Protocols act on the conservative superset
- * the tracker reports, so inexact formats cost extra invalidations,
- * never correctness.
- */
-struct DirEntry
-{
-    SharerTracker sharers;
-    CoreId owner = invalidCore; ///< E/M/F holder, if any.
-};
 
 /**
  * Directory MESIF memory system (Protocol::directory and
@@ -57,11 +44,7 @@ class DirectoryMemSys : public MemSys
     DirectoryMemSys(const Config &cfg, EventQueue &eq, Mesh &mesh,
                     DestinationPredictor *predictor);
 
-    /** Directory-state consistency check (tests; call when drained). */
-    void checkDirectory() const;
-
-    /** Peek a directory entry (tests). */
-    const DirEntry *dirEntry(Addr line) const;
+    void checkDirectory() const override;
 
     /** Misses serviced without directory indirection (Fig. 12). */
     std::uint64_t indirectionsAvoided() const
@@ -94,11 +77,8 @@ class DirectoryMemSys : public MemSys
     void processWrite(const Msg &m);
     void onPredFailed(const Msg &m);
     void onUnblock(const Msg &m);
-    void onWbNotice(const Msg &m);
-    void onDirUpdate(const Msg &m);
-    void serviceReadFromDir(const Msg &m, DirEntry &e);
-    void sendMemoryData(Addr line, CoreId requester, Mesif fill_state);
-    bool takeEarlyPredFailure(Addr line, const TxnKey &key);
+    void serviceReadFromDir(const Msg &m, HomeDirectory::Entry &e);
+    void sendMemoryData(const Msg &req, Mesif fill_state);
 
     // Peer-side handlers.
     void onFwdRead(const Msg &m);
@@ -113,14 +93,7 @@ class DirectoryMemSys : public MemSys
     void maybeRetryNacked(Mshr &m);
     void checkCompletion(Mshr &m);
 
-    /** Find-or-create the entry for @p line in the configured
-     * sharer format. */
-    DirEntry &dirAt(Addr line);
-
-    /** Warm-up-only growth: lines are never removed, so the node
-     * churn PooledMap avoids does not occur here. */
-    std::unordered_map<Addr, DirEntry> dir_;
-    SharerLayout sharer_layout_;
+    HomeDirectory dir_;
     /** One entry per in-flight home transaction: per-miss insert and
      * erase, so entries come from a pool. */
     PooledMap<DirTxn> txns_;

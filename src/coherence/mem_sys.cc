@@ -265,13 +265,8 @@ MemSys::startWriteback(CoreId core, Addr line)
             return;
         }
         entry->noticed = true;
-        Msg m;
-        m.type = MsgType::wbNotice;
-        m.line = line;
-        m.src = core;
-        m.dst = map_.homeNode(line);
-        m.requester = core;
-        m.txn = key.txn;
+        Msg m = txnMsg(MsgType::wbNotice, line, core, map_.homeNode(line),
+                       key);
         m.ownerAck = entry->state == Mesif::modified; // Carries data.
         m.version = entry->version;
         sendMsg(m);
@@ -282,17 +277,15 @@ MemSys::startWriteback(CoreId core, Addr line)
 }
 
 void
-MemSys::applyWriteback(CoreId core, Addr line)
+MemSys::applyWriteback(const Msg &m)
 {
-    // Called by the subclass's wbNotice handler at the home tile,
-    // after directory-state cleanup (onWriteback).
-    Msg ack;
-    ack.type = MsgType::wbAck;
-    ack.line = line;
-    ack.src = map_.homeNode(line);
-    ack.dst = core;
-    ack.requester = core;
-    sendMsg(ack);
+    onWriteback(m.requester, m.line);
+    if (m.ownerAck)
+        depositMemVersion(m.line, m.version);
+    // The ack names no transaction: the evictor drains by line.
+    sendMsg(txnMsg(MsgType::wbAck, m.line, map_.homeNode(m.line),
+                   m.requester, TxnKey{m.requester, 0}));
+    locks_.release(m.line, TxnKey{m.requester, m.txn});
 }
 
 void
@@ -372,6 +365,46 @@ MemSys::invalidateAt(CoreId core, Addr line)
         for (auto &resume : stalled)
             eq_.scheduleAfter(0, std::move(resume));
     }
+}
+
+void
+MemSys::forwardCopy(const Msg &req, const PeerView &v)
+{
+    const CoreId self = req.dst;
+    const TxnKey key{req.requester, req.txn};
+    const Tick lat = cfg_.l2TagLatency + cfg_.l2DataLatency;
+    if (v.state == Mesif::modified) {
+        // Downgrade writes the dirty line back to the home tile.
+        Msg dep = txnMsg(MsgType::dirUpdate, req.line, self,
+                         map_.homeNode(req.line), key);
+        dep.version = v.version;
+        sendMsgAfter(lat, dep);
+    }
+    downgradeToShared(self, req.line);
+    Msg d = txnMsg(MsgType::data, req.line, self, req.requester, key);
+    d.predicted = req.type == MsgType::predRead;
+    d.fillState = cfg_.cleanSharedFill();
+    d.version = v.version;
+    sendMsgAfter(lat, d);
+}
+
+void
+MemSys::invalidateAndAck(const Msg &req, const PeerView &v)
+{
+    const CoreId self = req.dst;
+    Msg a = txnMsg(MsgType::ackInv, req.line, self, req.requester,
+                   TxnKey{req.requester, req.txn});
+    a.predicted = req.type == MsgType::predWrite;
+    a.hadCopy = v.valid;
+    Tick lat = cfg_.l2TagLatency;
+    if (v.valid && canForward(v.state)) {
+        a.ownerAck = true;
+        a.version = v.version;
+        lat += cfg_.l2DataLatency;
+    }
+    if (v.valid)
+        invalidateAt(self, req.line);
+    sendMsgAfter(lat, a);
 }
 
 void
@@ -652,6 +685,20 @@ MemSys::sendPooled(Msg *slot)
     }
 }
 
+Msg
+MemSys::txnMsg(MsgType type, Addr line, CoreId src, CoreId dst,
+               const TxnKey &key)
+{
+    Msg m;
+    m.type = type;
+    m.line = line;
+    m.src = src;
+    m.dst = dst;
+    m.requester = key.requester;
+    m.txn = key.txn;
+    return m;
+}
+
 void
 MemSys::sendMsgAfter(Tick extra_delay, const Msg &m)
 {
@@ -710,11 +757,10 @@ MemSys::hashMshr(StateHasher &h, const Mshr &m)
           std::uint64_t{m.needData} << 2 |
           std::uint64_t{m.dataReceived} << 3 |
           std::uint64_t{m.dataFromPeer} << 4 |
-          std::uint64_t{m.grantReceived} << 5 |
-          std::uint64_t{m.predFailedSent} << 6 |
-          std::uint64_t{m.peerHadCopy} << 7 |
-          std::uint64_t{m.ordered} << 8 |
-          std::uint64_t{m.coreResumed} << 9);
+          std::uint64_t{m.predFailedSent} << 5 |
+          std::uint64_t{m.peerHadCopy} << 6 |
+          std::uint64_t{m.ordered} << 7 |
+          std::uint64_t{m.coreResumed} << 8);
     h.mix(m.txn);
     hashCoreSet(h, m.mustAck);
     hashCoreSet(h, m.ackedBy);
@@ -801,10 +847,10 @@ MemSys::dumpOutstanding() const
             const Mshr &m = *mshr_[c];
             out += strfmt(
                 "core {} txn {} line {} write={} hadLine={} data={} "
-                "grant={} acks={}/{} predPending={} nacked={} "
+                "ordered={} acks={}/{} predPending={} nacked={} "
                 "predFailedSent={} pred={}\n",
                 c, m.txn, m.line, m.isWrite, m.hadLine,
-                m.dataReceived, m.grantReceived, m.ackedBy.count(),
+                m.dataReceived, m.ordered, m.ackedBy.count(),
                 m.mustAck.count(), m.predRespPending,
                 m.nackedBy.toString(), m.predFailedSent,
                 m.out.pred.targets.toString());

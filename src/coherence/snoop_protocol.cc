@@ -21,20 +21,6 @@ SnoopMemSys::startMiss(Mshr &m)
         go();
 }
 
-Msg
-SnoopMemSys::txnMsg(MsgType type, Addr line, CoreId src, CoreId dst,
-                    const TxnKey &key)
-{
-    Msg m;
-    m.type = type;
-    m.line = line;
-    m.src = src;
-    m.dst = dst;
-    m.requester = key.requester;
-    m.txn = key.txn;
-    return m;
-}
-
 void
 SnoopMemSys::snoopTargets(const Mshr &m, const CoreSet &targets)
 {
@@ -177,58 +163,34 @@ void
 SnoopMemSys::onSnoopReq(const Msg &m)
 {
     const CoreId self = m.dst;
-    const CoreId home = map_.homeNode(m.line);
     countSnoop();
     onSnoopArrival(m);
-    PeerView v = peerView(self, m.line);
+    const PeerView v = peerView(self, m.line);
 
-    Msg r = txnMsg(MsgType::snoopResp, m.line, self, m.requester,
-                   TxnKey{m.requester, m.txn});
     if (m.isWrite ? !v.valid : !(v.valid && canForward(v.state))) {
+        Msg r = txnMsg(MsgType::snoopResp, m.line, self, m.requester,
+                       TxnKey{m.requester, m.txn});
         r.hadCopy = v.valid;
         sendMsgAfter(cfg_.l2TagLatency, r);
         return;
     }
 
+    // The policy hears of an owner's answer, except from a dirty read
+    // forward, whose deposit at the home stands in for it.
+    if (canForward(v.state) &&
+        (m.isWrite || v.state != Mesif::modified))
+        onOwnerAnswer(self, m, cfg_.l2TagLatency + cfg_.l2DataLatency);
     if (!m.isWrite) {
-        // Forward the line; a dirty owner also deposits it at home.
-        const Tick lat = cfg_.l2TagLatency + cfg_.l2DataLatency;
-        if (v.state == Mesif::modified) {
-            Msg dep = r;
-            dep.type = MsgType::dirUpdate;
-            dep.dst = home;
-            dep.version = v.version;
-            sendMsgAfter(lat, dep);
-        } else {
-            onOwnerAnswer(self, m, lat);
-        }
-        downgradeToShared(self, m.line);
-        r.type = MsgType::data;
-        r.fillState = cfg_.cleanSharedFill();
-        r.version = v.version;
-        sendMsgAfter(lat, r);
+        forwardCopy(m, v);
         return;
     }
-
-    // Write snoop at a valid copy: invalidate and acknowledge; the
-    // owner's ack carries the data.
-    r.type = MsgType::ackInv;
-    r.hadCopy = true;
-    Tick lat = cfg_.l2TagLatency;
-    if (canForward(v.state)) {
-        r.ownerAck = true;
-        r.version = v.version;
-        lat += cfg_.l2DataLatency;
-        onOwnerAnswer(self, m, lat);
-    }
-    invalidateAt(self, m.line);
+    invalidateAndAck(m, v);
     // An in-flight upgrade at this peer just lost its copy; it now
     // needs data from the eventual owner or memory.
     if (Mshr *own = mshrFor(self, m.line)) {
         if (own->isWrite)
             own->needData = true;
     }
-    sendMsgAfter(lat, r);
 }
 
 // ---------------------------------------------------------------------
@@ -259,16 +221,6 @@ SnoopMemSys::onUnblock(const Msg &m)
 }
 
 void
-SnoopMemSys::onWbNotice(const Msg &m)
-{
-    onWriteback(m.requester, m.line);
-    if (m.ownerAck)
-        depositMemVersion(m.line, m.version);
-    applyWriteback(m.requester, m.line);
-    locks_.release(m.line, TxnKey{m.requester, m.txn});
-}
-
-void
 SnoopMemSys::handleMsg(const Msg &m)
 {
     switch (m.type) {
@@ -288,7 +240,7 @@ SnoopMemSys::handleMsg(const Msg &m)
         onUnblock(m);
         break;
       case MsgType::wbNotice:
-        onWbNotice(m);
+        applyWriteback(m);
         break;
       case MsgType::wbAck:
         finishWriteback(m.dst, m.line);
@@ -465,18 +417,8 @@ BroadcastMemSys::hashState(StateHasher &h) const
 MulticastMemSys::MulticastMemSys(const Config &cfg, EventQueue &eq,
                                  Mesh &mesh,
                                  DestinationPredictor *predictor)
-    : SnoopMemSys(cfg, eq, mesh, predictor),
-      sharer_layout_(SharerLayout::fromConfig(cfg))
+    : SnoopMemSys(cfg, eq, mesh, predictor), dir_(cfg)
 {
-}
-
-DirEntry &
-MulticastMemSys::dirAt(Addr line)
-{
-    return dir_
-        .try_emplace(line, DirEntry{SharerTracker(sharer_layout_),
-                                    invalidCore})
-        .first->second;
 }
 
 void
@@ -544,14 +486,14 @@ MulticastMemSys::onVerify(const Msg &m)
 void
 MulticastMemSys::processVerify(const Msg &m)
 {
-    DirEntry &e = dirAt(m.line);
+    HomeDirectory::Entry &e = dir_.at(m.line);
     const CoreId home = map_.homeNode(m.line);
     const TxnKey key{m.requester, m.txn};
     CoreSet snooped = m.set;
     bool need_data = true;
 
     if (m.isWrite) {
-        const CoreSet required = e.sharers.others(m.requester);
+        const CoreSet required = dir_.others(e, m.requester);
         const CoreSet missing = required - m.set;
         for (CoreId t : missing)
             sendSnoop(home, t, m);
@@ -561,27 +503,19 @@ MulticastMemSys::processVerify(const Msg &m)
 
         // An existing owner is in `required`, hence snooped; its
         // ackInv carries the data.
-        need_data = !(m.hadCopy && e.sharers.test(m.requester));
+        need_data = !(m.hadCopy && dir_.mayShare(e, m.requester));
         if (need_data && e.owner == invalidCore)
             sendMemoryData(m.line, key, Mesif::modified);
-        e.sharers.setSingle(m.requester);
-        e.owner = m.requester;
-    } else {
-        bool solo = false;
-        if (e.owner != invalidCore && e.owner != m.requester) {
-            if (!m.set.test(e.owner)) {
-                sendSnoop(home, e.owner, m);
-                snooped.set(e.owner);
-                ++insufficient_masks_;
-            }
-        } else {
-            solo = e.sharers.others(m.requester).empty();
-            sendMemoryData(m.line, key,
-                           solo ? Mesif::exclusive
-                                : cfg_.cleanSharedFill());
+        dir_.write(e, m.requester);
+    } else if (e.owner != invalidCore && e.owner != m.requester) {
+        if (!m.set.test(e.owner)) {
+            sendSnoop(home, e.owner, m);
+            snooped.set(e.owner);
+            ++insufficient_masks_;
         }
-        e.sharers.set(m.requester);
-        e.owner = solo || cfg_.enableFState ? m.requester : invalidCore;
+        dir_.readFromOwner(e, m.requester);
+    } else {
+        sendMemoryData(m.line, key, dir_.readFromMemory(e, m.requester));
     }
 
     Msg g = txnMsg(MsgType::grant, m.line, home, m.requester, key);
@@ -593,12 +527,7 @@ MulticastMemSys::processVerify(const Msg &m)
 void
 MulticastMemSys::onWriteback(CoreId core, Addr line)
 {
-    auto it = dir_.find(line);
-    if (it == dir_.end())
-        return;
-    it->second.sharers.reset(core);
-    if (it->second.owner == core)
-        it->second.owner = invalidCore;
+    dir_.writeback(line, core);
 }
 
 void
@@ -624,15 +553,15 @@ void
 MulticastMemSys::hashState(StateHasher &h) const
 {
     SnoopMemSys::hashState(h);
-    // lint: allow(unordered-iter) — commutative fold.
-    for (const auto &[line, e] : dir_) {
-        StateHasher sub;
-        sub.mix(line);
-        sub.mix(e.owner);
-        sub.mix(e.sharers.overflowed());
-        hashCoreSet(sub, e.sharers.members());
-        h.mixUnordered(sub.value());
-    }
+    dir_.hashInto(h);
+}
+
+void
+MulticastMemSys::checkDirectory() const
+{
+    dir_.check([this](CoreId c, Addr line) {
+        return peerView(c, line).state;
+    });
 }
 
 } // namespace spp

@@ -34,9 +34,7 @@
 #ifndef SPP_COHERENCE_SNOOP_PROTOCOL_HH
 #define SPP_COHERENCE_SNOOP_PROTOCOL_HH
 
-#include <unordered_map>
-
-#include "coherence/directory_protocol.hh" // DirEntry
+#include "coherence/home_directory.hh"
 #include "coherence/mem_sys.hh"
 
 namespace spp {
@@ -104,14 +102,7 @@ class SnoopMemSys : public MemSys
     /** A message type only this policy uses. */
     virtual void handlePolicyMsg(const Msg &m) = 0;
 
-    void onWriteback(CoreId /*core*/, Addr /*line*/) override {}
-
     // --- Engine pieces the policies call ----------------------------
-
-    /** A @p type message from @p src to @p dst about @p key's
-     * transaction on @p line. */
-    static Msg txnMsg(MsgType type, Addr line, CoreId src, CoreId dst,
-                      const TxnKey &key);
 
     /** Snoop @p targets for miss @p m. */
     void snoopTargets(const Mshr &m, const CoreSet &targets);
@@ -143,7 +134,6 @@ class SnoopMemSys : public MemSys
     void onData(const Msg &m);
     void onAckInv(const Msg &m);
     void onUnblock(const Msg &m);
-    void onWbNotice(const Msg &m);
 
     /**
      * Resume the core once its data (and, for writes, the ordering)
@@ -198,17 +188,10 @@ class MulticastMemSys : public SnoopMemSys
                     DestinationPredictor *predictor);
 
     void hashState(StateHasher &h) const override;
+    void checkDirectory() const override;
 
     /** Multicasts whose mask missed a required node (fallback). */
     std::uint64_t insufficientMasks() const { return insufficient_masks_; }
-
-    /** Peek the memory-side verification directory (tests). */
-    const DirEntry *
-    dirEntry(Addr line) const
-    {
-        auto it = dir_.find(line);
-        return it == dir_.end() ? nullptr : &it->second;
-    }
 
   private:
     void launch(Mshr &m) override;
@@ -221,13 +204,8 @@ class MulticastMemSys : public SnoopMemSys
     void processVerify(const Msg &m);
     void onGrant(const Msg &m);
 
-    /** Find-or-create the entry for @p line in the configured
-     * sharer format. */
-    DirEntry &dirAt(Addr line);
-
     /** Memory-side verification directory. */
-    std::unordered_map<Addr, DirEntry> dir_;
-    SharerLayout sharer_layout_;
+    HomeDirectory dir_;
     std::uint64_t insufficient_masks_ = 0;
 };
 

@@ -252,6 +252,20 @@ configDescribe(const Config &c)
     return os.str();
 }
 
+std::size_t
+Config::sharerEntryBits() const
+{
+    switch (sharerFormat) {
+      case SharerFormat::full:
+        return numCores;
+      case SharerFormat::coarse:
+        return (numCores + coarseCoresPerBit - 1) / coarseCoresPerBit;
+      case SharerFormat::limited:
+        return sharerPointers * std::bit_width(numCores - 1u) + 1;
+    }
+    return 0;
+}
+
 std::string
 parsePositive(const std::string &what, const std::string &text,
               double &out)

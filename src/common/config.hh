@@ -7,6 +7,7 @@
 #ifndef SPP_COMMON_CONFIG_HH
 #define SPP_COMMON_CONFIG_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -36,7 +37,7 @@ enum class PredictorKind
     uni,    ///< Unindexed locality predictor (single entry).
 };
 
-/** Directory sharer-set representation (see sharer_tracker.hh). */
+/** Directory sharer-set representation (see home_directory.hh). */
 enum class SharerFormat
 {
     full,    ///< Exact full-map bit vector: n bits per entry.
@@ -118,6 +119,10 @@ struct Config
     SharerFormat sharerFormat = SharerFormat::full;
     unsigned coarseCoresPerBit = 4; ///< K: cores per coarse bit.
     unsigned sharerPointers = 4;    ///< P: limited-format pointers.
+
+    /** Modelled bits of one directory entry's sharer field: n (full),
+     * ceil(n/K) (coarse) or P*ceil(log2 n)+1 (limited). */
+    std::size_t sharerEntryBits() const;
 
     /** State a reader of a (non-solo) line fills with. */
     Mesif

@@ -1,7 +1,5 @@
 #include "core/sp_predictor.hh"
 
-#include "common/sharer_tracker.hh"
-
 namespace spp {
 
 const char *
@@ -253,8 +251,7 @@ SpPredictor::storageBits() const
     // recomputes it at any scale. Stored signatures follow the
     // machine's sharer format (full: n_cores bits; coarse / limited
     // shrink them the same way they shrink directory entries).
-    const std::size_t sig_bits =
-        SharerTracker::entryBits(SharerLayout::fromConfig(cfg_));
+    const std::size_t sig_bits = cfg_.sharerEntryBits();
     const std::size_t fixed_per_core = n_cores_ * 8 + 8;
     return table_.storageBits(n_cores_, sig_bits) +
         n_cores_ * fixed_per_core;

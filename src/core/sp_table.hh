@@ -128,7 +128,7 @@ class SpTable
      * entries hold d log2-sized holder IDs. A signature is n_cores
      * bits by default (the full bit-vector machine); @p sig_bits
      * overrides its width when the machine stores destination sets in
-     * a scalable sharer format (coarse / limited, sharer_tracker.hh).
+     * a scalable sharer format (coarse / limited, home_directory.hh).
      */
     std::size_t storageBits(unsigned n_cores,
                             std::size_t sig_bits = 0) const;

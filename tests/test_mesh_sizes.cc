@@ -68,8 +68,7 @@ TEST_P(MeshSizes, ProtocolScenariosHold)
             EXPECT_TRUE(w.communicating) << toString(proto);
         }
         h.sys->checkCoherence();
-        if (auto *d = h.dir())
-            d->checkDirectory();
+        h.sys->checkDirectory();
     }
 }
 
@@ -139,5 +138,5 @@ TEST(MeshSizes, KilocoreHarnessScenario)
     EXPECT_TRUE(out.communicating);
     EXPECT_EQ(out.servicedBy, CoreSet{0});
     h.sys->checkCoherence();
-    h.dir()->checkDirectory();
+    h.sys->checkDirectory();
 }

@@ -1,8 +1,9 @@
 /**
  * @file
  * Multicast-snooping protocol tests: predicted-mask snoops, the
- * memory-side verification directory, insufficient-mask fallback,
- * and bandwidth savings over full broadcast.
+ * memory-side verification directory (checked against the caches
+ * after every scenario), insufficient-mask fallback, and bandwidth
+ * savings over full broadcast.
  */
 
 #include <gtest/gtest.h>
@@ -59,6 +60,7 @@ TEST(Multicast, ColdReadFromMemory)
     EXPECT_EQ(h.l2State(0, 0x10000), Mesif::exclusive);
     EXPECT_TRUE(h.sys->drained());
     h.sys->checkCoherence();
+    h.sys->checkDirectory();
 }
 
 TEST(Multicast, PredictedOwnerSnoopedDirectly)
@@ -72,6 +74,7 @@ TEST(Multicast, PredictedOwnerSnoopedDirectly)
     EXPECT_TRUE(out.predSufficient);
     EXPECT_EQ(mc(h)->insufficientMasks(), 0u);
     h.sys->checkCoherence();
+    h.sys->checkDirectory();
 }
 
 TEST(Multicast, WrongMaskFallsBackViaHome)
@@ -85,6 +88,7 @@ TEST(Multicast, WrongMaskFallsBackViaHome)
     EXPECT_FALSE(out.predSufficient);
     EXPECT_EQ(mc(h)->insufficientMasks(), 1u);
     h.sys->checkCoherence();
+    h.sys->checkDirectory();
 }
 
 TEST(Multicast, WriteInvalidatesBeyondMask)
@@ -101,6 +105,7 @@ TEST(Multicast, WriteInvalidatesBeyondMask)
     EXPECT_EQ(h.l2State(1, 0x10000), Mesif::modified);
     EXPECT_FALSE(out.predSufficient);
     h.sys->checkCoherence();
+    h.sys->checkDirectory();
 }
 
 TEST(Multicast, EmptyPredictionDegradesToBroadcast)
@@ -112,6 +117,7 @@ TEST(Multicast, EmptyPredictionDegradesToBroadcast)
     EXPECT_TRUE(out.communicating);
     EXPECT_EQ(out.servicedBy, CoreSet{5});
     h.sys->checkCoherence();
+    h.sys->checkDirectory();
 }
 
 TEST(Multicast, SavesBandwidthVsBroadcast)
@@ -155,6 +161,7 @@ TEST(Multicast, ConcurrentWritersStayCoherent)
     EXPECT_EQ(owners, 1u);
     EXPECT_TRUE(h.sys->drained());
     h.sys->checkCoherence();
+    h.sys->checkDirectory();
 }
 
 TEST(Multicast, WorkloadEndToEnd)
@@ -163,6 +170,7 @@ TEST(Multicast, WorkloadEndToEnd)
     cfg.config.protocol = Protocol::multicast;
     cfg.config.predictor = PredictorKind::sp;
     cfg.scale = 0.25;
+    cfg.checkCoherence = true; // Caches and verification directory.
     ExperimentResult r = runExperiment("ocean", cfg);
     EXPECT_GT(r.run.ticks, 0u);
     EXPECT_GT(r.run.mem.communicatingMisses.value(), 0u);

@@ -4,8 +4,8 @@
  * concurrent reads/writes over a small line pool, parameterized over
  * (protocol, predictor, seed). After draining, the coherence
  * invariants must hold, reads must observe committed versions
- * monotonically per line, and the directory state must match the
- * caches.
+ * monotonically per line, and the home directory (directory and
+ * multicast engines) must match the caches.
  */
 
 #include <gtest/gtest.h>
@@ -94,8 +94,7 @@ TEST_P(ProtocolStress, RandomSwarmKeepsInvariants)
     EXPECT_GT(outstanding_checks, 0u);
 
     h.sys->checkCoherence();
-    if (auto *dir = h.dir())
-        dir->checkDirectory();
+    h.sys->checkDirectory();
     EXPECT_GT(h.sys->stats().communicatingMisses.value(), 0u);
 }
 

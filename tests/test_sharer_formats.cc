@@ -1,6 +1,6 @@
 /**
  * @file
- * Scalable sharer-set representations: SharerTracker semantics per
+ * Scalable sharer-set representations: HomeDirectory semantics per
  * format, the superset invariant against an exact reference model,
  * the modelled storage costs, and an end-to-end regression that
  * coarse-vector supersets never let a protocol violate SWMR.
@@ -9,141 +9,148 @@
 #include <gtest/gtest.h>
 
 #include "check/fuzzer.hh"
+#include "coherence/home_directory.hh"
 #include "common/rng.hh"
-#include "common/sharer_tracker.hh"
 
 using namespace spp;
 
 namespace {
 
-SharerLayout
-mkLayout(SharerFormat f, unsigned n, unsigned k = 4, unsigned p = 4)
+Config
+mkConfig(SharerFormat f, unsigned n, unsigned k = 4, unsigned p = 4)
 {
-    SharerLayout l;
-    l.format = f;
-    l.nCores = n;
-    l.coarseCoresPerBit = k;
-    l.sharerPointers = p;
-    return l;
+    Config c;
+    c.sharerFormat = f;
+    c.numCores = n;
+    c.coarseCoresPerBit = k;
+    c.sharerPointers = p;
+    return c;
 }
+
+constexpr Addr line = 0x40;
 
 } // namespace
 
-TEST(SharerTracker, DefaultMatchesPlainCoreSet)
+TEST(HomeDirectory, FullMapIsExact)
 {
-    SharerTracker t;
-    t.set(3);
-    t.set(900);
-    EXPECT_EQ(t.members(), (CoreSet{3, 900}));
-    t.reset(3);
-    EXPECT_EQ(t.members(), CoreSet{900});
-    t.setSingle(7);
-    EXPECT_EQ(t.members(), CoreSet{7});
-    EXPECT_FALSE(t.overflowed());
+    HomeDirectory d(mkConfig(SharerFormat::full, 1024));
+    HomeDirectory::Entry &e = d.at(line);
+    d.readFromMemory(e, 3);
+    d.readFromMemory(e, 900);
+    EXPECT_EQ(d.sharers(e), (CoreSet{3, 900}));
+    d.writeback(line, 3);
+    EXPECT_EQ(d.sharers(e), CoreSet{900});
+    d.write(e, 7);
+    EXPECT_EQ(d.sharers(e), CoreSet{7});
+    EXPECT_FALSE(e.overflow);
 }
 
-TEST(SharerTracker, CoarseExpandsToGroups)
+TEST(HomeDirectory, CoarseExpandsToGroups)
 {
-    SharerTracker t(mkLayout(SharerFormat::coarse, 16));
-    t.set(5); // Group 1 = cores 4..7.
-    EXPECT_EQ(t.members(), (CoreSet{4, 5, 6, 7}));
-    EXPECT_TRUE(t.test(6)); // Conservative: whole group "may share".
-    t.reset(5); // Per-core removal impossible; superset remains.
-    EXPECT_EQ(t.members(), (CoreSet{4, 5, 6, 7}));
-    t.setSingle(0); // Write path: exact single group again.
-    EXPECT_EQ(t.members(), (CoreSet{0, 1, 2, 3}));
+    HomeDirectory d(mkConfig(SharerFormat::coarse, 16));
+    HomeDirectory::Entry &e = d.at(line);
+    d.readFromMemory(e, 5); // Group 1 = cores 4..7.
+    EXPECT_EQ(d.sharers(e), (CoreSet{4, 5, 6, 7}));
+    EXPECT_TRUE(d.mayShare(e, 6)); // Whole group "may share".
+    d.writeback(line, 5); // Per-core removal impossible.
+    EXPECT_EQ(d.sharers(e), (CoreSet{4, 5, 6, 7}));
+    d.write(e, 0); // Write path: exact single group again.
+    EXPECT_EQ(d.sharers(e), (CoreSet{0, 1, 2, 3}));
 }
 
-TEST(SharerTracker, CoarseClipsLastGroupToCoreCount)
+TEST(HomeDirectory, CoarseClipsLastGroupToCoreCount)
 {
     // 10 cores, K = 4: the last group holds only cores 8..9.
-    SharerTracker t(mkLayout(SharerFormat::coarse, 10));
-    t.set(9);
-    EXPECT_EQ(t.members(), (CoreSet{8, 9}));
+    HomeDirectory d(mkConfig(SharerFormat::coarse, 10));
+    HomeDirectory::Entry &e = d.at(line);
+    d.readFromMemory(e, 9);
+    EXPECT_EQ(d.sharers(e), (CoreSet{8, 9}));
 }
 
-TEST(SharerTracker, LimitedExactUntilOverflow)
+TEST(HomeDirectory, LimitedExactUntilOverflow)
 {
-    SharerTracker t(mkLayout(SharerFormat::limited, 64, 4, 2));
-    t.set(10);
-    t.set(20);
-    EXPECT_EQ(t.members(), (CoreSet{10, 20}));
-    EXPECT_FALSE(t.overflowed());
-    t.reset(10); // Exact removal works below the pointer limit.
-    EXPECT_EQ(t.members(), CoreSet{20});
-    t.set(30);
-    t.set(40); // Third sharer with P = 2: degrade to broadcast.
-    EXPECT_TRUE(t.overflowed());
-    EXPECT_EQ(t.members(), CoreSet::all(64));
-    EXPECT_TRUE(t.test(63));
-    t.setSingle(5); // The next write makes the entry exact again.
-    EXPECT_FALSE(t.overflowed());
-    EXPECT_EQ(t.members(), CoreSet{5});
+    HomeDirectory d(mkConfig(SharerFormat::limited, 64, 4, 2));
+    HomeDirectory::Entry &e = d.at(line);
+    d.readFromMemory(e, 10);
+    d.readFromMemory(e, 20);
+    EXPECT_EQ(d.sharers(e), (CoreSet{10, 20}));
+    EXPECT_FALSE(e.overflow);
+    d.writeback(line, 10); // Exact removal below the pointer limit.
+    EXPECT_EQ(d.sharers(e), CoreSet{20});
+    d.readFromMemory(e, 30);
+    d.readFromMemory(e, 40); // Third sharer with P = 2: broadcast.
+    EXPECT_TRUE(e.overflow);
+    EXPECT_EQ(d.sharers(e), CoreSet::all(64));
+    EXPECT_TRUE(d.mayShare(e, 63));
+    d.write(e, 5); // The next write makes the entry exact again.
+    EXPECT_FALSE(e.overflow);
+    EXPECT_EQ(d.sharers(e), CoreSet{5});
 }
 
-TEST(SharerTracker, EntryBitsPerFormat)
+TEST(HomeDirectory, EntryBitsPerFormat)
 {
-    EXPECT_EQ(SharerTracker::entryBits(mkLayout(SharerFormat::full, 64)),
-              64u);
-    EXPECT_EQ(SharerTracker::entryBits(mkLayout(SharerFormat::full, 1024)),
+    EXPECT_EQ(mkConfig(SharerFormat::full, 64).sharerEntryBits(), 64u);
+    EXPECT_EQ(mkConfig(SharerFormat::full, 1024).sharerEntryBits(),
               1024u);
     // ceil(n / K) group bits.
-    EXPECT_EQ(
-        SharerTracker::entryBits(mkLayout(SharerFormat::coarse, 64, 4)),
-        16u);
-    EXPECT_EQ(
-        SharerTracker::entryBits(mkLayout(SharerFormat::coarse, 1024, 8)),
-        128u);
+    EXPECT_EQ(mkConfig(SharerFormat::coarse, 64, 4).sharerEntryBits(),
+              16u);
+    EXPECT_EQ(mkConfig(SharerFormat::coarse, 1024, 8).sharerEntryBits(),
+              128u);
     // P * ceil(log2 n) + 1 overflow bit.
     EXPECT_EQ(
-        SharerTracker::entryBits(mkLayout(SharerFormat::limited, 64, 4, 4)),
+        mkConfig(SharerFormat::limited, 64, 4, 4).sharerEntryBits(),
         4u * 6u + 1u);
-    EXPECT_EQ(SharerTracker::entryBits(
-                  mkLayout(SharerFormat::limited, 1024, 4, 8)),
-              8u * 10u + 1u);
+    EXPECT_EQ(
+        mkConfig(SharerFormat::limited, 1024, 4, 8).sharerEntryBits(),
+        8u * 10u + 1u);
 }
 
-// The load-bearing invariant: whatever the op sequence, every format's
-// members() is a superset of the exact sharer set, and test() never
-// returns false for an actual sharer. Protocols rely on exactly this
-// to keep SWMR when they multicast to the superset.
-TEST(SharerTracker, SupersetInvariantUnderRandomOps)
+// The load-bearing invariant: whatever the transition sequence, every
+// format's sharers() is a superset of the exact sharer set, and
+// mayShare() never returns false for an actual sharer. Protocols rely
+// on exactly this to keep SWMR when they multicast to the superset.
+TEST(HomeDirectory, SupersetInvariantUnderRandomOps)
 {
     for (const SharerFormat f :
          {SharerFormat::full, SharerFormat::coarse,
           SharerFormat::limited}) {
         for (const unsigned n : {16u, 63u, 64u, 65u, 256u}) {
-            SharerTracker t(mkLayout(f, n, 4, 4));
+            HomeDirectory d(mkConfig(f, n, 4, 4));
+            HomeDirectory::Entry &e = d.at(line);
             CoreSet exact;
             Rng rng(77 * n + static_cast<unsigned>(f));
             for (int step = 0; step < 2000; ++step) {
                 const CoreId c = static_cast<CoreId>(rng.below(n));
-                switch (rng.below(4)) {
+                switch (rng.below(5)) {
                   case 0:
-                    t.set(c);
+                    d.readFromMemory(e, c);
                     exact.set(c);
                     break;
                   case 1:
-                    // Directory resets on writeback/invalidate-ack:
-                    // the core really dropped its copy.
-                    t.reset(c);
-                    exact.reset(c);
+                    d.readFromOwner(e, c);
+                    exact.set(c);
                     break;
                   case 2:
-                    t.setSingle(c);
+                    // The core really dropped its copy.
+                    d.writeback(line, c);
+                    exact.reset(c);
+                    break;
+                  case 3:
+                    d.write(e, c);
                     exact = CoreSet::single(c);
                     break;
                   default:
                     if (!exact.empty()) {
-                        ASSERT_TRUE(t.test(exact.first()))
+                        ASSERT_TRUE(d.mayShare(e, exact.first()))
                             << toString(f) << " n=" << n;
                     }
                     break;
                 }
-                ASSERT_TRUE(t.members().contains(exact))
+                ASSERT_TRUE(d.sharers(e).contains(exact))
                     << toString(f) << " n=" << n << " step " << step;
                 if (f == SharerFormat::full) {
-                    ASSERT_EQ(t.members(), exact);
+                    ASSERT_EQ(d.sharers(e), exact);
                 }
             }
         }
