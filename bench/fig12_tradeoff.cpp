@@ -29,17 +29,7 @@ pointOf(const ExperimentResult &r, const ExperimentResult &dir)
     Point p;
     p.addedBandwidthPct =
         100.0 * (r.bytesPerMiss() - dir_bpm) / dir_bpm;
-    const double misses =
-        static_cast<double>(r.run.mem.misses.value());
-    const double comm_sufficient = static_cast<double>(
-        r.run.mem.predictionsSufficient.value());
-    const double comm =
-        static_cast<double>(r.run.mem.communicatingMisses.value());
-    // Non-communicating misses never "indirect" to another cache;
-    // the metric follows the paper: communicating misses that still
-    // needed the directory.
-    p.indirectionPct =
-        misses > 0 ? 100.0 * (comm - comm_sufficient) / misses : 0.0;
+    p.indirectionPct = r.indirectionPct();
     return p;
 }
 

@@ -1,13 +1,14 @@
 /**
  * @file
  * spp runner: a small command-line front end for one-off experiment
- * runs — pick a workload, protocol, predictor and knobs; get the
- * full statistics dump.
+ * runs — pick a workload, protocol, predictor and knobs; get a
+ * readable statistics summary, or with --raw the full spp-result-v1
+ * JSON document (the result store's and the fingerprint's format).
  *
  * Usage:
  *   runner --workload ocean --protocol predicted --predictor sp
  *          [--scale 1.0] [--seed 1] [--entries N] [--filter]
- *          [--depth 2] [--threshold 0.10] [--list]
+ *          [--depth 2] [--threshold 0.10] [--raw] [--list]
  *
  * The Config knobs parse exactly like a bench driver's --set
  * FIELD=VALUE; a malformed value exits 2 naming the flag.
@@ -19,11 +20,9 @@
 #include <iterator>
 #include <string>
 
-#include <iostream>
-
 #include "analysis/experiment.hh"
 #include "analysis/report.hh"
-#include "analysis/stats_report.hh"
+#include "service/result_codec.hh"
 #include "workload/workload.hh"
 
 using namespace spp;
@@ -115,8 +114,9 @@ main(int argc, char **argv)
     const RunResult &run = r.run;
 
     if (raw) {
-        // Machine-readable "name value" dump for scripts.
-        dumpStats(std::cout, run);
+        // Machine-readable: every statistic, as the result store
+        // writes it.
+        std::printf("%s\n", resultToJson(r).dump().c_str());
         return 0;
     }
 

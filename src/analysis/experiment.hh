@@ -82,8 +82,9 @@ struct ExperimentResult
     /** Fraction of communicating misses serviced without directory
      * indirection (prediction sufficient). */
     double predictionAccuracy() const;
-    /** Fraction of misses that required indirection (Fig. 12 y). */
-    double indirectionFraction() const;
+    /** Communicating misses that still needed the directory, in
+     * percent of all misses (Fig. 12 y; 0 without misses). */
+    double indirectionPct() const;
 };
 
 /** Run @p workload_name under @p cfg; fatal on unknown workload. */

@@ -199,10 +199,8 @@ hashMsg(StateHasher &h, const Msg &m)
           std::uint64_t{m.ownerAck} << 3 |
           std::uint64_t{m.becameOwner} << 4 |
           std::uint64_t{m.hadCopy} << 5 |
-          std::uint64_t{m.needData} << 6 |
-          std::uint64_t{m.sufficient} << 7);
+          std::uint64_t{m.needData} << 6);
     h.mix(static_cast<std::uint64_t>(m.fillState));
-    h.mix(m.ackCount);
     h.mix(m.version);
 }
 

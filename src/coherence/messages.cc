@@ -14,7 +14,6 @@ toString(MsgType t)
       case MsgType::predRead:  return "predRead";
       case MsgType::predWrite: return "predWrite";
       case MsgType::fwdRead:   return "fwdRead";
-      case MsgType::fwdWrite:  return "fwdWrite";
       case MsgType::inv:       return "inv";
       case MsgType::data:      return "data";
       case MsgType::ackInv:    return "ackInv";

@@ -33,7 +33,6 @@ enum class MsgType : std::uint8_t
 
     // Directory -> peer.
     fwdRead,        ///< Forward read to owner.
-    fwdWrite,       ///< Forward ownership transfer to owner.
     inv,            ///< Invalidate a sharer.
 
     // Peer / memory -> requester.
@@ -58,13 +57,6 @@ enum class MsgType : std::uint8_t
 
 const char *toString(MsgType t);
 
-/** True for message types that carry a full cache line. */
-constexpr bool
-carriesData(MsgType t)
-{
-    return t == MsgType::data || t == MsgType::wbNotice;
-}
-
 /** One protocol message. */
 struct Msg
 {
@@ -86,13 +78,9 @@ struct Msg
     bool hadCopy = false;       ///< snoopResp/ackInv: peer held line;
                                 ///< requests: requester held line.
     bool needData = false;      ///< grant: requester must await data.
-    bool sufficient = false;    ///< grant: prediction was sufficient.
 
     /** Fill state granted with a data response. */
     Mesif fillState = Mesif::invalid;
-
-    /** Number of invalidation acks the requester must collect. */
-    unsigned ackCount = 0;
 
     /** Version of the line carried by data (correctness checking). */
     std::uint64_t version = 0;

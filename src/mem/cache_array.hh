@@ -90,8 +90,6 @@ class CacheArray
     /** Number of valid lines currently held (O(size); for tests). */
     unsigned validCount() const;
 
-    unsigned numSets() const { return n_sets_; }
-    unsigned assoc() const { return assoc_; }
     unsigned lineBytes() const { return line_bytes_; }
 
     const CacheStats &stats() const { return stats_; }

@@ -15,7 +15,6 @@
 #include "analysis/locality.hh"
 #include "analysis/patterns.hh"
 #include "analysis/report.hh"
-#include "analysis/stats_report.hh"
 
 using namespace spp;
 
@@ -230,36 +229,6 @@ TEST(Report, TableAlignsAndRenders)
     EXPECT_NE(s.find("3.14"), std::string::npos);
     EXPECT_NE(s.find("42"), std::string::npos);
     EXPECT_NE(s.find("------"), std::string::npos);
-}
-
-TEST(StatsReport, DumpsEveryGroup)
-{
-    ExperimentConfig cfg;
-    cfg.scale = 0.25;
-    cfg.config.protocol = Protocol::predicted;
-    cfg.config.predictor = PredictorKind::sp;
-    ExperimentResult r = runExperiment("ocean", cfg);
-    const std::string s = statsToString(r.run, "x");
-    for (const char *key :
-         {"x.ticks", "x.mem.misses", "x.mem.communicating_misses",
-          "x.pred.sufficient", "x.pred.sufficient_by_source.history",
-          "x.sp.epochs_started", "x.noc.bytes",
-          "x.noc.bytes_by_class.data", "x.sync.sync_points"}) {
-        EXPECT_NE(s.find(key), std::string::npos) << key;
-    }
-    // Values match the run result.
-    std::istringstream is(s);
-    std::string name;
-    double value = 0;
-    bool found = false;
-    while (is >> name >> value) {
-        if (name == "x.mem.misses") {
-            EXPECT_EQ(static_cast<std::uint64_t>(value),
-                      r.run.mem.misses.value());
-            found = true;
-        }
-    }
-    EXPECT_TRUE(found);
 }
 
 // --- Experiment harness ---
