@@ -8,10 +8,11 @@
  * sync-epoch statistics.
  *
  * Usage: characterize [workload] [scale]
+ *
+ * A malformed scale exits 2 naming the argument and the text.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "analysis/epoch_stats.hh"
@@ -27,7 +28,14 @@ int
 main(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "bodytrack";
-    const double scale = argc > 2 ? std::atof(argv[2]) : 1.0;
+    double scale = 1.0;
+    if (argc > 2) {
+        const std::string err = parsePositive("scale", argv[2], scale);
+        if (!err.empty()) {
+            std::fprintf(stderr, "%s: %s\n", argv[0], err.c_str());
+            return 2;
+        }
+    }
 
     ExperimentConfig cfg;
     cfg.scale = scale;

@@ -10,8 +10,12 @@
  * thread count.
  *
  * Usage: predictor_compare [workload] [scale] [--jobs N]
+ *
+ * A malformed scale or worker count exits 2 naming the argument and
+ * the text; N must be in [1, 65536] like the bench drivers' --jobs.
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -51,29 +55,35 @@ main(int argc, char **argv)
 {
     std::string workload = "bodytrack";
     double scale = 1.0;
-    unsigned jobs = 0;
+    std::uint64_t jobs = 0; // 0: the sweep engine's default.
     int positional = 0;
+    auto usage = [&]() {
+        std::fprintf(stderr, "usage: %s [workload] [scale] [--jobs N]\n",
+                     argv[0]);
+        std::exit(2);
+    };
+    auto check = [&](const std::string &err) {
+        if (err.empty())
+            return;
+        std::fprintf(stderr, "%s: %s\n", argv[0], err.c_str());
+        std::exit(2);
+    };
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
         if (std::strcmp(arg, "--jobs") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "usage: %s [workload] [scale] "
-                             "[--jobs N]\n", argv[0]);
-                return 2;
-            }
-            jobs = static_cast<unsigned>(std::atoi(argv[++i]));
+            if (i + 1 >= argc)
+                usage();
+            check(parseUnsigned("--jobs", argv[++i], 1, 65536, jobs));
         } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-            jobs = static_cast<unsigned>(std::atoi(arg + 7));
+            check(parseUnsigned("--jobs", arg + 7, 1, 65536, jobs));
         } else if (positional == 0) {
             workload = arg;
             ++positional;
         } else if (positional == 1) {
-            scale = std::atof(arg);
+            check(parsePositive("scale", arg, scale));
             ++positional;
         } else {
-            std::fprintf(stderr, "usage: %s [workload] [scale] "
-                         "[--jobs N]\n", argv[0]);
-            return 2;
+            usage();
         }
     }
 
@@ -103,7 +113,8 @@ main(int argc, char **argv)
             {workload, config(Protocol::predicted, kind), name});
 
     std::printf("Predictor comparison on '%s'\n", workload.c_str());
-    const auto results = runSweep(sweep_jobs, jobs);
+    const auto results =
+        runSweep(sweep_jobs, static_cast<unsigned>(jobs));
     const ExperimentResult &dir = results[0];
 
     banner("Latency / bandwidth / storage trade-off "

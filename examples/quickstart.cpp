@@ -5,10 +5,11 @@
  * headline comparison (miss latency, execution time, accuracy).
  *
  * Usage: quickstart [workload] [scale]
+ *
+ * A malformed scale exits 2 naming the argument and the text.
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "analysis/experiment.hh"
@@ -21,7 +22,14 @@ int
 main(int argc, char **argv)
 {
     const std::string workload = argc > 1 ? argv[1] : "ocean";
-    const double scale = argc > 2 ? std::atof(argv[2]) : 1.0;
+    double scale = 1.0;
+    if (argc > 2) {
+        const std::string err = parsePositive("scale", argv[2], scale);
+        if (!err.empty()) {
+            std::fprintf(stderr, "%s: %s\n", argv[0], err.c_str());
+            return 2;
+        }
+    }
 
     std::printf("SP-prediction quickstart: workload '%s', scale %g\n",
                 workload.c_str(), scale);
