@@ -11,7 +11,7 @@ Mesh::Mesh(const Config &cfg, EventQueue &eq)
 {
     // Rectangular meshes are fine; a mesh that does not cover the
     // core count would silently mis-route (tile = y * meshX + x).
-    SPP_ASSERT(cfg.meshX * cfg.meshY == cfg.numCores,
+    SPP_ASSERT(std::uint64_t{cfg.meshX} * cfg.meshY == cfg.numCores,
                "mesh {}x{} does not cover {} cores", cfg.meshX,
                cfg.meshY, cfg.numCores);
 }
@@ -24,43 +24,6 @@ Mesh::hops(CoreId src, CoreId dst) const
     const int dx = static_cast<int>(dst % cfg_.meshX);
     const int dy = static_cast<int>(dst / cfg_.meshX);
     return static_cast<unsigned>(std::abs(sx - dx) + std::abs(sy - dy));
-}
-
-std::size_t
-Mesh::linkIndex(unsigned a, unsigned b) const
-{
-    // Direction encoding: 0 = +X, 1 = -X, 2 = +Y, 3 = -Y.
-    unsigned dir;
-    if (b == a + 1) {
-        dir = 0;
-    } else if (b + 1 == a) {
-        dir = 1;
-    } else if (b == a + cfg_.meshX) {
-        dir = 2;
-    } else {
-        SPP_ASSERT(b + cfg_.meshX == a, "non-adjacent hop {} -> {}", a, b);
-        dir = 3;
-    }
-    return static_cast<std::size_t>(a) * 4 + dir;
-}
-
-void
-Mesh::route(CoreId src, CoreId dst, std::vector<unsigned> &path) const
-{
-    path.clear();
-    unsigned cur = src;
-    path.push_back(cur);
-    const unsigned dst_x = dst % cfg_.meshX;
-    // X dimension first...
-    while (cur % cfg_.meshX != dst_x) {
-        cur = cur % cfg_.meshX < dst_x ? cur + 1 : cur - 1;
-        path.push_back(cur);
-    }
-    // ...then Y.
-    while (cur != dst) {
-        cur = cur < dst ? cur + cfg_.meshX : cur - cfg_.meshX;
-        path.push_back(cur);
-    }
 }
 
 Tick
@@ -104,21 +67,32 @@ Mesh::inject(const Packet &pkt)
         const Tick serialization =
             (pkt.bytes + cfg_.linkBytesPerCycle - 1) /
             cfg_.linkBytesPerCycle;
-        route(pkt.src, pkt.dst, path_scratch_);
         // Head traversal with per-link reservation: the head may wait
         // for a busy link; each link stays busy for the packet's
         // serialization time once the head passes.
         Tick head = now + cfg_.routerLatency;
-        for (std::size_t i = 0; i + 1 < path_scratch_.size(); ++i) {
-            const std::size_t idx =
-                linkIndex(path_scratch_[i], path_scratch_[i + 1]);
-            Tick &free_at = link_free_[idx];
+        auto reserve = [&](std::size_t link) {
+            Tick &free_at = link_free_[link];
             if (free_at > head)
                 head = free_at;              // Queueing delay.
             free_at = head + serialization;  // Occupy for the body.
-            link_busy_[idx] += serialization;
+            link_busy_[link] += serialization;
             head += cfg_.linkLatency + cfg_.routerLatency;
-        }
+        };
+        // X-Y route: X hops leave tile * 4 + 0 (+X) or 1 (-X), then Y
+        // hops leave tile * 4 + 2 (+Y) or 3 (-Y).
+        const unsigned mesh_x = cfg_.meshX;
+        const unsigned src_x = pkt.src % mesh_x;
+        const unsigned dst_x = pkt.dst % mesh_x;
+        std::size_t tile = pkt.src;
+        for (unsigned x = src_x; x < dst_x; ++x)
+            reserve(tile++ * 4 + 0);
+        for (unsigned x = src_x; x > dst_x; --x)
+            reserve(tile-- * 4 + 1);
+        for (; tile < pkt.dst; tile += mesh_x)
+            reserve(tile * 4 + 2);
+        for (; tile > pkt.dst; tile -= mesh_x)
+            reserve(tile * 4 + 3);
         // Tail arrives a serialization time after the head.
         arrive = head + serialization;
     }

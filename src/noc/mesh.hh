@@ -106,13 +106,6 @@ class Mesh
     unsigned numCores() const { return n_cores_; }
 
   private:
-    /** Index of the directional link from tile @p a to neighbour b. */
-    std::size_t linkIndex(unsigned a, unsigned b) const;
-
-    /** Enumerate the tile sequence of the X-Y route src -> dst. */
-    void route(CoreId src, CoreId dst,
-               std::vector<unsigned> &path) const;
-
     const Config &cfg_;
     EventQueue &eq_;
     unsigned n_cores_;
@@ -121,8 +114,6 @@ class Mesh
     /** Cumulative serialization-busy ticks per directional link. */
     std::vector<std::uint64_t> link_busy_;
     NocStats stats_;
-    /** Scratch buffer reused by send() to avoid per-packet allocs. */
-    std::vector<unsigned> path_scratch_;
 };
 
 } // namespace spp
