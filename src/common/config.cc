@@ -176,13 +176,26 @@ parseSharerFormatName(const std::string &s)
     return std::nullopt;
 }
 
+namespace {
+
+/** True if @p bytes splits into whole sets of @p assoc lines. The
+ * product is taken in 64 bits: in 32 it wraps for large @p assoc. */
+bool
+dividesIntoSets(unsigned bytes, unsigned assoc, unsigned line_bytes)
+{
+    return assoc != 0 && bytes != 0 &&
+        bytes % (std::uint64_t{line_bytes} * assoc) == 0;
+}
+
+} // namespace
+
 std::string
 configValidate(const Config &c)
 {
     if (c.numCores == 0 || c.numCores > maxCores)
         return strfmt("numCores must be in [1, {}], got {}", maxCores,
                       c.numCores);
-    if (c.meshX * c.meshY != c.numCores)
+    if (std::uint64_t{c.meshX} * c.meshY != c.numCores)
         return strfmt("mesh {}x{} does not cover {} cores", c.meshX,
                       c.meshY, c.numCores);
     if (!std::has_single_bit(c.lineBytes))
@@ -192,11 +205,9 @@ configValidate(const Config &c)
         c.macroBlockBytes < c.lineBytes) {
         return "macroBlockBytes must be a power of two >= lineBytes";
     }
-    if (c.l1Assoc == 0 || c.l1Bytes == 0 ||
-        c.l1Bytes % (c.lineBytes * c.l1Assoc) != 0)
+    if (!dividesIntoSets(c.l1Bytes, c.l1Assoc, c.lineBytes))
         return "L1 geometry does not divide into sets";
-    if (c.l2Assoc == 0 || c.l2Bytes == 0 ||
-        c.l2Bytes % (c.lineBytes * c.l2Assoc) != 0)
+    if (!dividesIntoSets(c.l2Bytes, c.l2Assoc, c.lineBytes))
         return "L2 geometry does not divide into sets";
     if (c.hotThreshold <= 0.0 || c.hotThreshold >= 1.0)
         return strfmt("hotThreshold must be in (0, 1), got {}",

@@ -246,6 +246,28 @@ TEST(Config, DeathOnBadLineSize)
     EXPECT_DEATH({ cfg.validate(); }, "power of two");
 }
 
+TEST(Config, GeometryProductsDoNotWrap)
+{
+    // 64 * 2^26 wraps to 0 in 32 bits (a division by zero) ...
+    Config l1;
+    l1.l1Assoc = 67108864;
+    EXPECT_NE(configValidate(l1).find("L1 geometry"), std::string::npos);
+    Config l2;
+    l2.l2Assoc = 67108864;
+    EXPECT_NE(configValidate(l2).find("L2 geometry"), std::string::npos);
+    // ... and 64 * (2^26 + 1) to 64, which divides the 16 KB L1.
+    Config l1_odd;
+    l1_odd.l1Assoc = 67108865;
+    EXPECT_NE(configValidate(l1_odd).find("L1 geometry"),
+              std::string::npos);
+    // 268435457 * 16 wraps to 16: a 16-core "mesh" one row high.
+    Config mesh;
+    mesh.meshX = 268435457;
+    mesh.meshY = 16;
+    EXPECT_NE(configValidate(mesh).find("mesh 268435457x16"),
+              std::string::npos);
+}
+
 TEST(Config, DeathOnPredictedWithoutPredictor)
 {
     Config cfg;
