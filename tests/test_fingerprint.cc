@@ -8,7 +8,10 @@
  * event counts are zeroed first, so a change that schedules the same
  * modelled behaviour with fewer or more events keeps its fingerprint.
  * The hashes are compared with tests/golden/fingerprint.txt, one
- * "label hash" line per cell.
+ * "label hash" line per cell. The replay cells first record every
+ * program under the directory protocol into a trace store the test
+ * owns, then replay those traces under SP prediction; a replay
+ * reproduces its live run, so each hashes like its live twin.
  *
  * On a mismatch the test names every differing cell and writes the
  * fresh file next to the test binary. A change that is meant to alter
@@ -19,6 +22,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -31,6 +35,7 @@
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "service/result_codec.hh"
+#include "trace/store.hh"
 #include "workload/workload.hh"
 
 using namespace spp;
@@ -49,6 +54,8 @@ struct Cell
     std::string label;
     std::string workload;
     Config config;
+    /** Trace that drives the machine instead of the generator. */
+    std::string replayFile = {};
 };
 
 Config
@@ -202,7 +209,41 @@ fingerprintCells()
                 {"64-" + fname + "/" + wl + "/predicted-sp", wl, c});
         }
     }
+
+    // Every program replayed under SP prediction from the trace
+    // recordTraces() stored: the replay frontend, not the generator,
+    // issues the ops.
+    for (const WorkloadSpec &spec : workloadRegistry())
+        cells.push_back(
+            {"16/" + spec.name + "/predicted-sp/replay", spec.name, sp,
+             tracePath(SPP_FINGERPRINT_TRACES, spec.name,
+                       traceKeyHash(spec.name, sp, cellScale))});
     return cells;
+}
+
+/**
+ * Record every program once, at the cells' scale under the directory
+ * protocol, into the test's own trace store (emptied first). The
+ * replay cells name these files directly, so a missing trace is
+ * fatal rather than a silent live run.
+ */
+void
+recordTraces()
+{
+    std::filesystem::remove_all(SPP_FINGERPRINT_TRACES);
+    std::filesystem::create_directories(SPP_FINGERPRINT_TRACES);
+    std::vector<std::string> programs;
+    for (const WorkloadSpec &spec : workloadRegistry())
+        programs.push_back(spec.name);
+    SweepRunner().map(programs, [](const std::string &wl) {
+        ExperimentConfig x;
+        x.config = machine(Protocol::directory, PredictorKind::none);
+        x.scale = cellScale;
+        x.trace.dir = SPP_FINGERPRINT_TRACES;
+        x.trace.record = true;
+        runExperiment(wl, x);
+        return 0;
+    });
 }
 
 std::string
@@ -221,6 +262,7 @@ cellHash(const Cell &cell)
     ExperimentConfig x;
     x.config = cell.config;
     x.scale = cellScale;
+    x.trace.replayFile = cell.replayFile;
     ExperimentResult res = runExperiment(cell.workload, x);
     res.run.eventsExecuted = 0;
     return hex16(fnv1a64(resultToJson(res).dump()));
@@ -257,6 +299,7 @@ TEST(Fingerprint, CellLabelsAreUnique)
 TEST(Fingerprint, MatchesGolden)
 {
     setQuiet(true);
+    recordTraces();
     const std::vector<Cell> cells = fingerprintCells();
     const std::vector<std::string> hashes =
         SweepRunner().map(cells, [](const Cell &c) { return cellHash(c); });
