@@ -210,11 +210,14 @@ addBenchFlags(FlagSet &fs)
 }
 
 /** Apply the --cores / --mesh / --format / --set overrides to
- * @p cfg. A --set that changes numCores without fixing the mesh
- * gets the most-square factorization automatically. */
+ * @p cfg. A --set that changes numCores gets the most-square mesh
+ * automatically, unless --mesh or a --set of meshX/meshY named one:
+ * a named mesh is kept, and configValidate() rejects it if it does
+ * not cover the cores. */
 inline void
 applyGeometry(Config &cfg)
 {
+    bool mesh_named = g_mesh_x != 0;
     if (g_mesh_x != 0) {
         cfg.meshX = g_mesh_x;
         cfg.meshY = g_mesh_y;
@@ -228,8 +231,10 @@ applyGeometry(Config &cfg)
         const std::string err = configSetField(cfg, field, value);
         if (!err.empty())
             SPP_FATAL("--set: {}", err);
+        mesh_named = mesh_named || field == "meshX" || field == "meshY";
     }
-    if (cfg.meshX * cfg.meshY != cfg.numCores)
+    if (!mesh_named &&
+        std::uint64_t{cfg.meshX} * cfg.meshY != cfg.numCores)
         meshFor(cfg.numCores, cfg.meshX, cfg.meshY);
 }
 

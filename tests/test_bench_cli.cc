@@ -2,7 +2,8 @@
  * @file
  * Bench CLI frontend tests: strict numeric flag, SPP_BENCH_SCALE and
  * SPP_JOBS parsing, mesh factorization for awkward core counts,
- * --mesh/--cores consistency validation, and death tests proving bad
+ * --mesh/--cores consistency validation, a named mesh surviving a
+ * core-count override to validation, and death tests proving bad
  * input dies at the flag site with exit code 1 instead of wrapping or
  * silently misconfiguring a sweep.
  */
@@ -250,6 +251,49 @@ TEST(InitBenchDeathTest, DiesAtTheFlagSite)
                 testing::ExitedWithCode(1), "--mesh 5x5");
     EXPECT_EXIT(initBenchWith({"--record"}),
                 testing::ExitedWithCode(1), "--record");
+    EXPECT_EXIT(initBenchWith({"--set", "meshX=5", "--set", "meshY=5"}),
+                testing::ExitedWithCode(1),
+                "mesh 5x5 does not cover 16 cores");
+    EXPECT_EXIT(initBenchWith({"--mesh", "5", "5", "--set",
+                               "numCores=16"}),
+                testing::ExitedWithCode(1),
+                "mesh 5x5 does not cover 16 cores");
+}
+
+namespace {
+
+/** applyGeometry() on a default Config under the --set overrides
+ * @p settings (restored after). */
+Config
+geometryWith(std::vector<std::pair<std::string, std::string>> settings)
+{
+    std::swap(g_settings, settings);
+    Config cfg;
+    applyGeometry(cfg);
+    std::swap(g_settings, settings);
+    return cfg;
+}
+
+} // namespace
+
+TEST(ApplyGeometry, CoreCountSetDerivesTheMesh)
+{
+    const Config cfg = geometryWith({{"numCores", "64"}});
+    EXPECT_EQ(cfg.numCores, 64u);
+    EXPECT_EQ(cfg.meshX, 8u);
+    EXPECT_EQ(cfg.meshY, 8u);
+    EXPECT_EQ(configValidate(cfg), "");
+}
+
+TEST(ApplyGeometry, NamedMeshIsKeptForValidation)
+{
+    const Config square = geometryWith({{"meshX", "5"}, {"meshY", "5"}});
+    EXPECT_EQ(square.meshX, 5u);
+    EXPECT_EQ(square.meshY, 5u);
+    EXPECT_EQ(configValidate(square), "mesh 5x5 does not cover 16 cores");
+    const Config narrow = geometryWith({{"meshX", "2"}});
+    EXPECT_EQ(narrow.meshX, 2u);
+    EXPECT_EQ(configValidate(narrow), "mesh 2x4 does not cover 16 cores");
 }
 
 TEST(InitBench, AcceptsValidGeometry)
