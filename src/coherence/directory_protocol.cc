@@ -4,8 +4,9 @@ namespace spp {
 
 DirectoryMemSys::DirectoryMemSys(const Config &cfg, EventQueue &eq,
                                  Mesh &mesh,
-                                 DestinationPredictor *predictor)
-    : MemSys(cfg, eq, mesh, predictor), dir_(cfg)
+                                 DestinationPredictor *predictor,
+                                 AccessCompletion &completion)
+    : MemSys(cfg, eq, mesh, predictor, completion), dir_(cfg)
 {
 }
 

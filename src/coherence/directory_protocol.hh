@@ -42,7 +42,8 @@ class DirectoryMemSys : public MemSys
 {
   public:
     DirectoryMemSys(const Config &cfg, EventQueue &eq, Mesh &mesh,
-                    DestinationPredictor *predictor);
+                    DestinationPredictor *predictor,
+                    AccessCompletion &completion);
 
     void checkDirectory() const override;
 

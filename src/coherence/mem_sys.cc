@@ -7,9 +7,11 @@
 namespace spp {
 
 MemSys::MemSys(const Config &cfg, EventQueue &eq, Mesh &mesh,
-               DestinationPredictor *predictor)
+               DestinationPredictor *predictor,
+               AccessCompletion &completion)
     : cfg_(cfg), eq_(eq), mesh_(mesh), map_(cfg),
-      predictor_(predictor), n_cores_(cfg.numCores)
+      predictor_(predictor), completion_(completion),
+      n_cores_(cfg.numCores)
 {
     if (cfg.enableSharingFilter)
         filter_.emplace(n_cores_, cfg.filterRegionBytes);
@@ -35,7 +37,7 @@ MemSys::~MemSys() = default;
 // ---------------------------------------------------------------------
 
 void
-MemSys::access(CoreId core, Addr addr, bool is_write, Pc pc, DoneFn done)
+MemSys::access(CoreId core, Addr addr, bool is_write, Pc pc)
 {
     SPP_ASSERT(core < n_cores_, "access from core {}", core);
     SPP_ASSERT(!mshr_[core].has_value(),
@@ -48,11 +50,9 @@ MemSys::access(CoreId core, Addr addr, bool is_write, Pc pc, DoneFn done)
     // A re-reference to a line sitting in the writeback buffer stalls
     // until the writeback drains, then restarts as a normal access.
     if (WbEntry *wb = wb_buffer_[core].find(line)) {
-        DoneFn cb = std::move(done);
-        wb->stalled.push_back(
-            [this, core, addr, is_write, pc, cb = std::move(cb)]() {
-                access(core, addr, is_write, pc, cb);
-            });
+        wb->stalled.push_back([this, core, addr, is_write, pc]() {
+            access(core, addr, is_write, pc);
+        });
         return;
     }
 
@@ -76,7 +76,7 @@ MemSys::access(CoreId core, Addr addr, bool is_write, Pc pc, DoneFn done)
         }
         ++stats_.l1Hits;
         eq_.scheduleAfter(cfg_.l1Latency,
-            [this, done = std::move(done), is_write, issue, version]() {
+            [this, core, is_write, issue, version]() {
                 AccessOutcome out;
                 out.l1Hit = true;
                 out.isWrite = is_write;
@@ -85,21 +85,20 @@ MemSys::access(CoreId core, Addr addr, bool is_write, Pc pc, DoneFn done)
                 out.dataVersion = version;
                 stats_.hitLatency.sample(
                     static_cast<double>(out.latency()));
-                done(out);
+                completion_.accessDone(core, out);
             });
         return;
     }
 
     eq_.scheduleAfter(cfg_.l1Latency,
-        [this, core, addr, is_write, pc, done = std::move(done),
-         issue]() mutable {
-            accessL2(core, addr, is_write, pc, std::move(done), issue);
+        [this, core, addr, is_write, pc, issue]() {
+            accessL2(core, addr, is_write, pc, issue);
         });
 }
 
 void
 MemSys::accessL2(CoreId core, Addr addr, bool is_write, Pc pc,
-                 DoneFn done, Tick issue_tick)
+                 Tick issue_tick)
 {
     const Addr line = map_.lineAddr(addr);
     CacheLine *l2_line = l2_[core]->lookup(line);
@@ -125,8 +124,7 @@ MemSys::accessL2(CoreId core, Addr addr, bool is_write, Pc pc,
         ++stats_.l2Hits;
         const Tick lat = cfg_.l2TagLatency + cfg_.l2DataLatency;
         eq_.scheduleAfter(lat,
-            [this, done = std::move(done), is_write, issue_tick,
-             version]() {
+            [this, core, is_write, issue_tick, version]() {
                 AccessOutcome out;
                 out.l2Hit = true;
                 out.isWrite = is_write;
@@ -135,7 +133,7 @@ MemSys::accessL2(CoreId core, Addr addr, bool is_write, Pc pc,
                 out.dataVersion = version;
                 stats_.hitLatency.sample(
                     static_cast<double>(out.latency()));
-                done(out);
+                completion_.accessDone(core, out);
             });
         return;
     }
@@ -144,8 +142,7 @@ MemSys::accessL2(CoreId core, Addr addr, bool is_write, Pc pc,
     // lookup determined the miss.
     const bool had_line = l2_line != nullptr;
     eq_.scheduleAfter(cfg_.l2TagLatency,
-        [this, core, line, is_write, pc, done = std::move(done),
-         issue_tick, had_line]() mutable {
+        [this, core, line, is_write, pc, issue_tick, had_line]() {
             Mshr &m = mshr_[core].emplace();
             m.core = core;
             m.line = line;
@@ -154,7 +151,6 @@ MemSys::accessL2(CoreId core, Addr addr, bool is_write, Pc pc,
             m.pc = pc;
             m.txn = ++txn_counter_;
             m.issueTick = issue_tick;
-            m.done = std::move(done);
             m.out.isWrite = is_write;
             m.out.upgrade = had_line && is_write;
             m.out.issueTick = issue_tick;
@@ -461,18 +457,11 @@ void
 MemSys::completeMiss(Mshr &m)
 {
     finishOutcome(m);
-    retireMshr(m);
-}
-
-void
-MemSys::retireMshr(Mshr &m)
-{
     onCompleteMiss(m);
-    DoneFn done = std::move(m.done);
-    AccessOutcome result = m.out;
-    mshr_[m.core].reset();
-    if (done)
-        done(result);
+    const CoreId core = m.core;
+    const AccessOutcome out = m.out;
+    mshr_[core].reset();
+    completion_.accessDone(core, out);
 }
 
 void
@@ -937,19 +926,21 @@ MemSys::checkCoherence() const
 
 std::unique_ptr<MemSys>
 makeMemSys(const Config &cfg, EventQueue &eq, Mesh &mesh,
-           DestinationPredictor *predictor)
+           DestinationPredictor *predictor, AccessCompletion &completion)
 {
     switch (cfg.protocol) {
       case Protocol::broadcast:
-        return std::make_unique<BroadcastMemSys>(cfg, eq, mesh);
+        return std::make_unique<BroadcastMemSys>(cfg, eq, mesh,
+                                                 completion);
       case Protocol::multicast:
         return std::make_unique<MulticastMemSys>(cfg, eq, mesh,
-                                                 predictor);
+                                                 predictor, completion);
       case Protocol::directory:
       case Protocol::predicted:
         break;
     }
-    return std::make_unique<DirectoryMemSys>(cfg, eq, mesh, predictor);
+    return std::make_unique<DirectoryMemSys>(cfg, eq, mesh, predictor,
+                                             completion);
 }
 
 } // namespace spp

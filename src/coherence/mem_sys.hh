@@ -24,7 +24,6 @@
 #define SPP_COHERENCE_MEM_SYS_HH
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -128,6 +127,20 @@ struct AccessOutcome
     Tick latency() const { return completeTick - issueTick; }
 };
 
+/**
+ * Where a MemSys reports each access it completes: one per machine,
+ * bound at construction. CmpSystem resumes the core's thread; the
+ * protocol tests record the outcome. accessDone() runs synchronously
+ * inside the completing event, after the core's MSHR is released, so
+ * it may issue the core's next access.
+ */
+class AccessCompletion
+{
+  public:
+    virtual ~AccessCompletion() = default;
+    virtual void accessDone(CoreId core, const AccessOutcome &out) = 0;
+};
+
 /** Aggregate statistics of one MemSys over a run. */
 struct MemSysStats
 {
@@ -179,23 +192,19 @@ struct CoreMemStats
 class MemSys
 {
   public:
-    // lint: allow(std-function) — one per core-side access slot, bound at miss issue, not per event.
-    using DoneFn = std::function<void(const AccessOutcome &)>;
-
     MemSys(const Config &cfg, EventQueue &eq, Mesh &mesh,
-           DestinationPredictor *predictor);
+           DestinationPredictor *predictor, AccessCompletion &completion);
     virtual ~MemSys();
 
     MemSys(const MemSys &) = delete;
     MemSys &operator=(const MemSys &) = delete;
 
     /**
-     * Issue a load or store from @p core. @p done runs at completion
-     * time with the filled-in outcome. At most one outstanding access
-     * per core.
+     * Issue a load or store from @p core; its outcome goes to the
+     * machine's AccessCompletion. At most one outstanding access per
+     * core.
      */
-    void access(CoreId core, Addr addr, bool is_write, Pc pc,
-                DoneFn done);
+    void access(CoreId core, Addr addr, bool is_write, Pc pc);
 
     const AddressMap &map() const { return map_; }
     const Config &config() const { return cfg_; }
@@ -324,7 +333,6 @@ class MemSys
         Pc pc = 0;
         std::uint64_t txn = 0;
         Tick issueTick = 0;
-        DoneFn done;
         AccessOutcome out;
 
         // Protocol progress.
@@ -341,7 +349,7 @@ class MemSys
         bool peerHadCopy = false;   ///< Snooping: some peer had line.
         bool ordered = false;       ///< The home ordered the miss
                                     ///< (grant, or broadcast fabric).
-        bool coreResumed = false;   ///< Snooping: done() already ran.
+        bool coreResumed = false;   ///< Snooping: core already resumed.
         CoreId dataSource = invalidCore;
         Mesif fillState = Mesif::invalid;
         std::uint64_t version = 0;
@@ -441,19 +449,17 @@ class MemSys
     void fillLine(CoreId core, Addr line, Mesif state, Pc pc,
                   std::uint64_t version);
 
-    /** Complete the MSHR of @p core: outcome, training, callback. */
+    /** Complete the MSHR of @p core: outcome, training,
+     * onCompleteMiss(), then free the MSHR and resume the core. */
     void completeMiss(Mshr &m);
 
     /**
-     * Finalize the outcome of @p m and resume the core (fill, stats,
-     * predictor training, done callback) without retiring the MSHR;
-     * used by protocols that release the core before the transaction
-     * fully drains (ordered-interconnect broadcast).
+     * Finalize the outcome of @p m (fill, stats, predictor training)
+     * without freeing the MSHR or resuming the core; protocols that
+     * resume the core before the transaction fully drains (snooping)
+     * call it directly.
      */
     void finishOutcome(Mshr &m);
-
-    /** Retire @p m after finishOutcome(): hook + free the MSHR. */
-    void retireMshr(Mshr &m);
 
     /** The per-core MSHR, if any. */
     Mshr *mshrFor(CoreId core, Addr line);
@@ -500,6 +506,7 @@ class MemSys
     Mesh &mesh_;
     AddressMap map_;
     DestinationPredictor *predictor_;
+    AccessCompletion &completion_;
 
     unsigned n_cores_;
     std::optional<SharingFilter> filter_;
@@ -537,7 +544,7 @@ class MemSys
   private:
     /** Second phase of access(): L2 lookup after L1 miss. */
     void accessL2(CoreId core, Addr addr, bool is_write, Pc pc,
-                  DoneFn done, Tick issue_tick);
+                  Tick issue_tick);
 
     /** Start the writeback transaction for @p line at @p core. */
     void startWriteback(CoreId core, Addr line);
@@ -558,12 +565,14 @@ class MemSys
 /**
  * Build the memory system @p cfg selects: DirectoryMemSys for
  * directory/predicted, the snooping engine for broadcast/multicast.
- * @p predictor (may be null) drives the predicted protocols; the
- * caller keeps ownership.
+ * @p predictor (may be null) drives the predicted protocols and
+ * @p completion receives every finished access; the caller keeps
+ * ownership of both.
  */
 std::unique_ptr<MemSys> makeMemSys(const Config &cfg, EventQueue &eq,
                                    Mesh &mesh,
-                                   DestinationPredictor *predictor);
+                                   DestinationPredictor *predictor,
+                                   AccessCompletion &completion);
 
 } // namespace spp
 

@@ -130,9 +130,7 @@ SnoopMemSys::maybeResumeCore(Mshr &m)
     Mshr &moved = lingering_.insert(txn);
     moved = std::move(m);
     mshr_[core].reset();
-    DoneFn done = std::move(moved.done);
-    moved.done = nullptr;
-    done(moved.out);
+    completion_.accessDone(core, moved.out);
     return true;
 }
 
@@ -280,8 +278,9 @@ SnoopMemSys::hashState(StateHasher &h) const
 // ---------------------------------------------------------------------
 
 BroadcastMemSys::BroadcastMemSys(const Config &cfg, EventQueue &eq,
-                                 Mesh &mesh)
-    : SnoopMemSys(cfg, eq, mesh, nullptr)
+                                 Mesh &mesh,
+                                 AccessCompletion &completion)
+    : SnoopMemSys(cfg, eq, mesh, nullptr, completion)
 {
 }
 
@@ -416,8 +415,9 @@ BroadcastMemSys::hashState(StateHasher &h) const
 
 MulticastMemSys::MulticastMemSys(const Config &cfg, EventQueue &eq,
                                  Mesh &mesh,
-                                 DestinationPredictor *predictor)
-    : SnoopMemSys(cfg, eq, mesh, predictor), dir_(cfg)
+                                 DestinationPredictor *predictor,
+                                 AccessCompletion &completion)
+    : SnoopMemSys(cfg, eq, mesh, predictor, completion), dir_(cfg)
 {
 }
 

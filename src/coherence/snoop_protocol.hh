@@ -153,7 +153,8 @@ class SnoopMemSys : public MemSys
 class BroadcastMemSys : public SnoopMemSys
 {
   public:
-    BroadcastMemSys(const Config &cfg, EventQueue &eq, Mesh &mesh);
+    BroadcastMemSys(const Config &cfg, EventQueue &eq, Mesh &mesh,
+                    AccessCompletion &completion);
 
     PoolStats txnPoolStats() const override;
     void hashState(StateHasher &h) const override;
@@ -185,7 +186,8 @@ class MulticastMemSys : public SnoopMemSys
 {
   public:
     MulticastMemSys(const Config &cfg, EventQueue &eq, Mesh &mesh,
-                    DestinationPredictor *predictor);
+                    DestinationPredictor *predictor,
+                    AccessCompletion &completion);
 
     void hashState(StateHasher &h) const override;
     void checkDirectory() const override;

@@ -4,8 +4,8 @@
  *
  * The event kernel schedules millions of small closures per run;
  * `std::function`'s small-buffer optimization (16 bytes in libstdc++)
- * is far too small for the protocol continuations (a DoneFn plus a
- * few scalars, or a pool-slot pointer plus context), so every
+ * is far too small for the protocol continuations (a core, line, pc
+ * and issue tick, or a pool-slot pointer plus context), so every
  * schedule() paid a heap allocation. InlineFn stores the callable
  * in-place — callables larger than the capacity are rejected at
  * compile time, so a grown capture list is a build error rather than

@@ -52,11 +52,12 @@ class EventQueue
 {
   public:
     /**
-     * Inline capacity for event closures. Sized for the fattest
-     * kernel closure (the L2-miss continuation: a DoneFn plus line,
-     * pc and issue-time context); anything bigger fails to compile
-     * in schedule() rather than silently regressing to heap
-     * allocation.
+     * Inline capacity for event closures. The fattest kernel closure
+     * is the L2-miss continuation (core, line, pc and issue-time
+     * context: 56 B), but a 56-byte capacity measured slower machine
+     * set-up on snooping runs, so the slots keep 88. Anything bigger
+     * fails to compile in schedule() rather than silently regressing
+     * to heap allocation.
      */
     static constexpr std::size_t actionCapacity = 88;
 

@@ -22,7 +22,7 @@ CmpSystem::CmpSystem(const Config &cfg) : cfg_(cfg)
 
     predictor_ = makePredictor(cfg_);
     sp_predictor_ = dynamic_cast<SpPredictor *>(predictor_.get());
-    mem_ = makeMemSys(cfg_, eq_, *mesh_, predictor_.get());
+    mem_ = makeMemSys(cfg_, eq_, *mesh_, predictor_.get(), *this);
 
     sync_ = std::make_unique<SyncManager>(cfg_, eq_,
                                           layout::syncBase);

@@ -55,9 +55,10 @@ struct RunResult
 
 /**
  * One simulated CMP. Construct, optionally attach observers, then
- * run() a workload.
+ * run() a workload. It is its memory system's AccessCompletion: a
+ * finished access resumes the core's ThreadContext.
  */
-class CmpSystem
+class CmpSystem final : public AccessCompletion
 {
   public:
     /** Factory producing the per-thread program. */
@@ -70,7 +71,7 @@ class CmpSystem
         std::function<void(CoreId, Addr, Pc, const AccessOutcome &)>;
 
     explicit CmpSystem(const Config &cfg);
-    ~CmpSystem();
+    ~CmpSystem() override;
 
     /** Run @p thread_fn on every core to completion. */
     RunResult run(const ThreadFn &thread_fn);
@@ -113,6 +114,12 @@ class CmpSystem
     TraceSink *traceSink() const { return trace_sink_; }
 
   private:
+    void
+    accessDone(CoreId core, const AccessOutcome &out) override
+    {
+        contexts_[core]->accessDone(out);
+    }
+
     Config cfg_;
     EventQueue eq_;
     std::unique_ptr<Mesh> mesh_;
@@ -125,8 +132,6 @@ class CmpSystem
     unsigned finished_ = 0;
     AccessObserver access_observer_;
     TraceSink *trace_sink_ = nullptr;
-
-    friend class ThreadContext;
 };
 
 } // namespace spp

@@ -1,26 +1,10 @@
 #include "sim/thread_context.hh"
 
+#include <utility>
+
 #include "sim/cmp_system.hh"
-#include "trace/format.hh"
 
 namespace spp {
-
-namespace {
-
-/**
- * Report one semantic op to the attached trace sink, if any. Ops are
- * recorded at factory-call time — i.e. in per-thread program order,
- * before any of the op's internal memory traffic — which is exactly
- * the order a replay must re-issue them in.
- */
-void
-recordOp(CmpSystem &sys, CoreId core, const TraceOp &op)
-{
-    if (TraceSink *sink = sys.traceSink())
-        sink->record(core, op);
-}
-
-} // namespace
 
 ThreadContext::ThreadContext(CmpSystem &sys, CoreId core,
                              unsigned n_threads, std::uint64_t seed)
@@ -49,298 +33,127 @@ ThreadContext::privOf(CoreId t, std::uint64_t index) const
         index * sys_.config().lineBytes;
 }
 
-void
-ThreadContext::mem(Addr addr, bool is_write, Pc pc, Action done)
-{
-    sys_.memSys().access(core_, addr, is_write, pc,
-        [this, addr, pc, done = std::move(done)](
-            const AccessOutcome &out) {
-            last_outcome_ = out;
-            if (sys_.accessObserver())
-                sys_.accessObserver()(core_, addr, pc, out);
-            done();
-        });
-}
-
 ThreadContext::Op
-ThreadContext::read(Addr addr, Pc pc)
+ThreadContext::recorded(const TraceOp &op)
 {
-    recordOp(sys_, core_, {TraceOpKind::read, addr, pc, 0});
-    return Op{this, [this, addr, pc](Action resume) {
-        mem(addr, false, pc, std::move(resume));
-    }};
-}
-
-ThreadContext::Op
-ThreadContext::write(Addr addr, Pc pc)
-{
-    recordOp(sys_, core_, {TraceOpKind::write, addr, pc, 0});
-    return Op{this, [this, addr, pc](Action resume) {
-        mem(addr, true, pc, std::move(resume));
-    }};
+    if (TraceSink *sink = sys_.traceSink())
+        sink->record(core_, op);
+    return {this, op};
 }
 
 void
-ThreadContext::doCompute(std::uint64_t instructions, Action done)
+ThreadContext::start(const TraceOp &op, std::coroutine_handle<> thread)
 {
-    // 2-issue in-order core: IPC of 2 on compute bursts.
-    const Tick delay = (instructions + 1) / 2;
-    sys_.eventQueue().scheduleAfter(delay > 0 ? delay : 1,
-                                    std::move(done));
-}
-
-ThreadContext::Op
-ThreadContext::compute(std::uint64_t instructions)
-{
-    recordOp(sys_, core_,
-             {TraceOpKind::compute, 0, 0, instructions});
-    return Op{this, [this, instructions](Action resume) {
-        doCompute(instructions, std::move(resume));
-    }};
+    op_ = op;
+    step_ = 0;
+    thread_ = thread;
+    advance();
 }
 
 void
-ThreadContext::doBarrier(unsigned id, Pc sid, Action done)
+ThreadContext::mem(Addr addr, bool is_write, Pc pc)
 {
-    SyncManager &mgr = sys_.syncManager();
-    // Arrival: write the barrier counter line (contended), then
-    // block; on release read the generation flag written by the
-    // last arriver, then continue into the new epoch.
-    mem(mgr.barrierAddr(id), true, layout::syncPcBase + id,
-        [this, id, sid, done = std::move(done)]() {
-            SyncManager &m = sys_.syncManager();
-            m.barrierArrive(core_, id, n_threads_, sid,
-                [this, id, done = std::move(done)]() {
-                    SyncManager &mm = sys_.syncManager();
-                    mem(mm.barrierGenAddr(id), false,
-                        layout::syncPcBase + 0x1000 + id,
-                        std::move(done));
-                });
-        });
-}
-
-ThreadContext::Op
-ThreadContext::barrier(unsigned id, Pc sid)
-{
-    recordOp(sys_, core_, {TraceOpKind::barrier, 0, sid, id});
-    return Op{this, [this, id, sid](Action resume) {
-        doBarrier(id, sid, std::move(resume));
-    }};
+    access_addr_ = addr;
+    access_pc_ = pc;
+    sys_.memSys().access(core_, addr, is_write, pc);
 }
 
 void
-ThreadContext::doLock(unsigned id, Action done)
+ThreadContext::accessDone(const AccessOutcome &out)
 {
-    sys_.syncManager().lockAcquire(core_, id,
-        [this, id, done = std::move(done)]() {
-            // Lock-word read-modify-write: communicates with the
-            // previous holder (migratory pattern).
-            mem(sys_.syncManager().lockAddr(id), true,
-                layout::syncPcBase + 0x2000 + id,
-                std::move(done));
-        });
-}
-
-ThreadContext::Op
-ThreadContext::lock(unsigned id)
-{
-    recordOp(sys_, core_, {TraceOpKind::lock, 0, 0, id});
-    return Op{this, [this, id](Action resume) {
-        doLock(id, std::move(resume));
-    }};
+    last_outcome_ = out;
+    if (sys_.accessObserver())
+        sys_.accessObserver()(core_, access_addr_, access_pc_, out);
+    advance();
 }
 
 void
-ThreadContext::doUnlock(unsigned id, Action done)
+ThreadContext::advance()
 {
-    // Release store on the lock word, then hand the lock over.
-    mem(sys_.syncManager().lockAddr(id), true,
-        layout::syncPcBase + 0x3000 + id,
-        [this, id, done = std::move(done)]() {
-            sys_.syncManager().lockRelease(core_, id);
-            done();
-        });
-}
-
-ThreadContext::Op
-ThreadContext::unlock(unsigned id)
-{
-    recordOp(sys_, core_, {TraceOpKind::unlock, 0, 0, id});
-    return Op{this, [this, id](Action resume) {
-        doUnlock(id, std::move(resume));
-    }};
-}
-
-void
-ThreadContext::doCondWait(unsigned id, Pc sid, Action done)
-{
-    sys_.syncManager().condWait(core_, id, sid,
-        [this, id, done = std::move(done)]() {
-            // Read the state the signaller published.
-            mem(sys_.syncManager().condAddr(id), false,
-                layout::syncPcBase + 0x4000 + id,
-                std::move(done));
-        });
-}
-
-ThreadContext::Op
-ThreadContext::condWait(unsigned id, Pc sid)
-{
-    recordOp(sys_, core_, {TraceOpKind::condWait, 0, sid, id});
-    return Op{this, [this, id, sid](Action resume) {
-        doCondWait(id, sid, std::move(resume));
-    }};
-}
-
-void
-ThreadContext::doCondSignal(unsigned id, Pc sid, Action done)
-{
-    mem(sys_.syncManager().condAddr(id), true,
-        layout::syncPcBase + 0x5000 + id,
-        [this, id, sid, done = std::move(done)]() {
-            sys_.syncManager().condSignal(core_, id, sid);
-            done();
-        });
-}
-
-ThreadContext::Op
-ThreadContext::condSignal(unsigned id, Pc sid)
-{
-    recordOp(sys_, core_, {TraceOpKind::condSignal, 0, sid, id});
-    return Op{this, [this, id, sid](Action resume) {
-        doCondSignal(id, sid, std::move(resume));
-    }};
-}
-
-void
-ThreadContext::doCondBroadcast(unsigned id, Pc sid, Action done)
-{
-    mem(sys_.syncManager().condAddr(id), true,
-        layout::syncPcBase + 0x6000 + id,
-        [this, id, sid, done = std::move(done)]() {
-            sys_.syncManager().condBroadcast(core_, id, sid);
-            done();
-        });
-}
-
-ThreadContext::Op
-ThreadContext::condBroadcast(unsigned id, Pc sid)
-{
-    recordOp(sys_, core_,
-             {TraceOpKind::condBroadcast, 0, sid, id});
-    return Op{this, [this, id, sid](Action resume) {
-        doCondBroadcast(id, sid, std::move(resume));
-    }};
-}
-
-void
-ThreadContext::doSemPost(unsigned id, Pc sid, Action done)
-{
-    // Publish the produced state, then post the token.
-    mem(sys_.syncManager().condAddr(id), true,
-        layout::syncPcBase + 0x7000 + id,
-        [this, id, sid, done = std::move(done)]() {
-            sys_.syncManager().semPost(core_, id, sid);
-            done();
-        });
-}
-
-ThreadContext::Op
-ThreadContext::semPost(unsigned id, Pc sid)
-{
-    recordOp(sys_, core_, {TraceOpKind::semPost, 0, sid, id});
-    return Op{this, [this, id, sid](Action resume) {
-        doSemPost(id, sid, std::move(resume));
-    }};
-}
-
-void
-ThreadContext::doSemWait(unsigned id, Pc sid, Action done)
-{
-    sys_.syncManager().semWait(core_, id, sid,
-        [this, id, done = std::move(done)]() {
-            // Consume: read the state the producer published.
-            mem(sys_.syncManager().condAddr(id), false,
-                layout::syncPcBase + 0x8000 + id,
-                std::move(done));
-        });
-}
-
-ThreadContext::Op
-ThreadContext::semWait(unsigned id, Pc sid)
-{
-    recordOp(sys_, core_, {TraceOpKind::semWait, 0, sid, id});
-    return Op{this, [this, id, sid](Action resume) {
-        doSemWait(id, sid, std::move(resume));
-    }};
-}
-
-void
-ThreadContext::doJoin(Pc sid, Action done)
-{
-    sys_.syncManager().joinAll(core_, sid, std::move(done));
-}
-
-ThreadContext::Op
-ThreadContext::join(Pc sid)
-{
-    recordOp(sys_, core_, {TraceOpKind::join, 0, sid, 0});
-    return Op{this, [this, sid](Action resume) {
-        doJoin(sid, std::move(resume));
-    }};
-}
-
-void
-ThreadContext::issueTraceOp(const TraceOp &op, Action done)
-{
-    // Memory and compute ops dominate every trace; test for them
-    // with predictable branches before the sync-op switch.
-    if (op.kind == TraceOpKind::read) {
-        mem(op.addr, false, op.pc, std::move(done));
-        return;
-    }
-    if (op.kind == TraceOpKind::write) {
-        mem(op.addr, true, op.pc, std::move(done));
-        return;
-    }
-    if (op.kind == TraceOpKind::compute) {
-        doCompute(op.arg, std::move(done));
-        return;
-    }
-    const auto id = static_cast<unsigned>(op.arg);
-    switch (op.kind) {
+    SyncManager &sync = sys_.syncManager();
+    const auto id = static_cast<unsigned>(op_.arg);
+    const Pc pc = layout::syncPcBase + id;
+    const Pc sid = op_.pc;
+    const unsigned step = step_++;
+    switch (op_.kind) {
       case TraceOpKind::read:
       case TraceOpKind::write:
+        if (step == 0)
+            return mem(op_.addr, op_.kind == TraceOpKind::write,
+                       op_.pc);
+        break;
       case TraceOpKind::compute:
+        if (step == 0) {
+            // 2-issue in-order core: IPC of 2 on compute bursts.
+            const Tick delay = (op_.arg + 1) / 2;
+            return sys_.eventQueue().scheduleAfter(
+                delay > 0 ? delay : 1, next());
+        }
         break;
       case TraceOpKind::barrier:
-        doBarrier(id, op.pc, std::move(done));
+        // Arrival: write the barrier counter line (contended), then
+        // block; on release read the generation flag written by the
+        // last arriver, then continue into the new epoch.
+        if (step == 0)
+            return mem(sync.barrierAddr(id), true, pc);
+        if (step == 1)
+            return sync.barrierArrive(core_, id, n_threads_, sid,
+                                      next());
+        if (step == 2)
+            return mem(sync.barrierGenAddr(id), false, pc + 0x1000);
         break;
       case TraceOpKind::lock:
-        doLock(id, std::move(done));
+        // Once granted, the lock-word read-modify-write communicates
+        // with the previous holder (migratory pattern).
+        if (step == 0)
+            return sync.lockAcquire(core_, id, next());
+        if (step == 1)
+            return mem(sync.lockAddr(id), true, pc + 0x2000);
         break;
       case TraceOpKind::unlock:
-        doUnlock(id, std::move(done));
+        // Release store on the lock word, then hand the lock over.
+        if (step == 0)
+            return mem(sync.lockAddr(id), true, pc + 0x3000);
+        sync.lockRelease(core_, id);
         break;
       case TraceOpKind::condWait:
-        doCondWait(id, op.pc, std::move(done));
+        // Once woken, read the state the signaller published.
+        if (step == 0)
+            return sync.condWait(core_, id, sid, next());
+        if (step == 1)
+            return mem(sync.condAddr(id), false, pc + 0x4000);
         break;
       case TraceOpKind::condSignal:
-        doCondSignal(id, op.pc, std::move(done));
+        if (step == 0)
+            return mem(sync.condAddr(id), true, pc + 0x5000);
+        sync.condSignal(core_, id, sid);
         break;
       case TraceOpKind::condBroadcast:
-        doCondBroadcast(id, op.pc, std::move(done));
+        if (step == 0)
+            return mem(sync.condAddr(id), true, pc + 0x6000);
+        sync.condBroadcast(core_, id, sid);
         break;
       case TraceOpKind::semPost:
-        doSemPost(id, op.pc, std::move(done));
+        // Publish the produced state, then post the token.
+        if (step == 0)
+            return mem(sync.condAddr(id), true, pc + 0x7000);
+        sync.semPost(core_, id, sid);
         break;
       case TraceOpKind::semWait:
-        doSemWait(id, op.pc, std::move(done));
+        // Consume: read the state the producer published.
+        if (step == 0)
+            return sync.semWait(core_, id, sid, next());
+        if (step == 1)
+            return mem(sync.condAddr(id), false, pc + 0x8000);
         break;
       case TraceOpKind::join:
-        doJoin(op.pc, std::move(done));
+        if (step == 0)
+            return sync.joinAll(core_, sid, next());
         break;
     }
+    // The op is done. The resumed thread may start its next op right
+    // here, so nothing of this one is touched after the resume.
+    std::exchange(thread_, nullptr).resume();
 }
 
 } // namespace spp

@@ -14,7 +14,6 @@
 #define SPP_SYNC_SYNC_MANAGER_HH
 
 #include <deque>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -42,8 +41,8 @@ struct SyncStats
 class SyncManager
 {
   public:
-    // lint: allow(std-function) — blocked-thread wakeup capsule, not per-event.
-    using Action = std::function<void()>;
+    /** A blocked thread's wakeup, scheduled when it may proceed. */
+    using Action = EventQueue::Action;
 
     SyncManager(const Config &cfg, EventQueue &eq, Addr sync_base);
 

@@ -1,110 +1,17 @@
 #include "trace/replay.hh"
 
-#include <coroutine>
-#include <cstdint>
-
 #include "common/logging.hh"
 
 namespace spp {
 
 namespace {
 
-/**
- * Replay-time op layout: half the footprint of TraceOp, so a large
- * trace streams through the cache at 16 B/op instead of 32 and
- * displaces less simulator state. Generator traces always fit (the
- * layout:: address map and synthetic PCs are 32-bit); imported
- * traces with 64-bit addresses or PCs replay from the wide TraceOp
- * stream instead.
- */
-struct PackedOp
-{
-    std::uint32_t addr;
-    std::uint32_t pc;
-    std::uint32_t arg;
-    std::uint8_t kind;
-};
-
-TraceOp
-widen(const PackedOp &p)
-{
-    return {static_cast<TraceOpKind>(p.kind), p.addr, p.pc, p.arg};
-}
-
-TraceOp
-widen(const TraceOp &op)
-{
-    return op;
-}
-
-bool
-fitsPacked(const TraceData &trace)
-{
-    constexpr std::uint64_t lim = ~std::uint32_t{0};
-    for (const auto &ops : trace.threads)
-        for (const TraceOp &op : ops)
-            if (op.addr > lim || op.pc > lim || op.arg > lim)
-                return false;
-    return true;
-}
-
-/**
- * One thread's replay cursor. Rather than a coroutine with one
- * suspension point per op kind — whose per-op resume overhead shows
- * up directly in replay throughput — the chain hands each op to
- * ThreadContext::issueTraceOp with `issue` as its completion
- * action. Every op bottoms out in a scheduled event (memory and
- * compute always do; sync ops either block or fall through to
- * memory traffic), so the chain trampolines through the event loop
- * instead of recursing. The op sequence, issue points and event
- * schedule are exactly those of the equivalent coroutine.
- */
-template <typename O>
-struct ReplayChain
-{
-    ThreadContext &ctx;
-    const std::vector<O> &ops;
-    std::size_t next = 0;
-    std::coroutine_handle<> done{};
-
-    void
-    issue()
-    {
-        if (next == ops.size()) {
-            done.resume();
-            return;
-        }
-        const TraceOp op = widen(ops[next++]);
-        ctx.issueTraceOp(op, ThreadContext::Action([this]() {
-            issue();
-        }));
-    }
-};
-
-/** Suspend once, pump the whole chain, resume at stream end. */
-template <typename O>
-struct ChainAwait
-{
-    ReplayChain<O> *chain;
-
-    bool await_ready() const noexcept { return chain->ops.empty(); }
-
-    void
-    await_suspend(std::coroutine_handle<> h)
-    {
-        chain->done = h;
-        chain->issue();
-    }
-
-    void await_resume() const noexcept {}
-};
-
-template <typename O>
+/** One thread's program: await its recorded ops in order. */
 Task
-replayOps(ThreadContext &ctx, const std::vector<O> &ops)
+replayOps(ThreadContext &ctx, std::shared_ptr<const TraceData> trace)
 {
-    ReplayChain<O> chain{ctx, ops};
-    co_await ChainAwait<O>{&chain};
+    for (const TraceOp &op : trace->threads[ctx.self()])
+        co_await ctx.replay(op);
 }
 
 } // namespace
@@ -112,33 +19,12 @@ replayOps(ThreadContext &ctx, const std::vector<O> &ops)
 CmpSystem::ThreadFn
 replayThreadFn(std::shared_ptr<const TraceData> trace)
 {
-    if (fitsPacked(*trace)) {
-        auto packed = std::make_shared<
-            std::vector<std::vector<PackedOp>>>();
-        packed->reserve(trace->threads.size());
-        for (const auto &ops : trace->threads) {
-            auto &out = packed->emplace_back();
-            out.reserve(ops.size());
-            for (const TraceOp &op : ops)
-                out.push_back({static_cast<std::uint32_t>(op.addr),
-                               static_cast<std::uint32_t>(op.pc),
-                               static_cast<std::uint32_t>(op.arg),
-                               static_cast<std::uint8_t>(op.kind)});
-        }
-        return [packed](ThreadContext &ctx) {
-            SPP_ASSERT(ctx.self() < packed->size(),
-                       "replay trace has {} thread streams, core {} "
-                       "has none",
-                       packed->size(), ctx.self());
-            return replayOps(ctx, (*packed)[ctx.self()]);
-        };
-    }
     return [trace](ThreadContext &ctx) {
         SPP_ASSERT(ctx.self() < trace->threads.size(),
                    "replay trace has {} thread streams, core {} has "
                    "none",
                    trace->threads.size(), ctx.self());
-        return replayOps(ctx, trace->threads[ctx.self()]);
+        return replayOps(ctx, trace);
     };
 }
 
