@@ -3,7 +3,8 @@
  * Trace frontend tests: codec round-trip and strictness, store
  * keying, record-then-replay equivalence (both at the CmpSystem
  * level and through the experiment harness + on-disk store), and the
- * mcsim TraceGen import adapter.
+ * mcsim TraceGen import adapter, including a full-width replay of
+ * addresses above 4 GiB.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -514,6 +516,48 @@ TEST(McsimImport, InjectsBalancedBarriers)
         std::make_shared<const TraceData>(std::move(out)), cfg);
     EXPECT_GT(run.eventsExecuted, 0u);
     EXPECT_GT(run.ticks, 0u);
+}
+
+TEST(McsimImport, ReplaysAddressesAbove4GiB)
+{
+    // Imported traces carry 64-bit addresses and PCs, and replay must
+    // issue them at full width: cut to 32 bits, these lines would
+    // alias onto 0x40 and 0x80.
+    TempDir dir("mcsim_wide");
+    constexpr std::uint64_t high = std::uint64_t{1} << 32;
+    std::vector<std::uint8_t> t0, t1;
+    appendRecord(t0, high + 0x40, high + 0x80, 0, high + 0x400000);
+    appendRecord(t1, 0, high + 0x40, 0, high + 0x400100);
+    writeBytes(dir.file("t0.bin"), t0);
+    writeBytes(dir.file("t1.bin"), t1);
+
+    TraceData trace;
+    std::string err;
+    ASSERT_TRUE(importMcsimTrace({dir.file("t0.bin"),
+                                  dir.file("t1.bin")},
+                                 0, trace, err))
+        << err;
+    Config cfg;
+    cfg.numCores = 2;
+    cfg.meshX = 2;
+    cfg.meshY = 1;
+    cfg.coarseCoresPerBit = 2;
+    ASSERT_EQ(traceReplayError(trace, cfg), "");
+
+    CmpSystem sys(cfg);
+    std::set<std::pair<Addr, Pc>> seen;
+    sys.setAccessObserver(
+        [&seen](CoreId, Addr addr, Pc pc, const AccessOutcome &) {
+            seen.insert({addr, pc});
+        });
+    sys.run(replayThreadFn(
+        std::make_shared<const TraceData>(std::move(trace))));
+    const std::set<std::pair<Addr, Pc>> expect = {
+        {high + 0x80, high + 0x400000},
+        {high + 0x40, high + 0x400000},
+        {high + 0x40, high + 0x400100},
+    };
+    EXPECT_EQ(seen, expect);
 }
 
 TEST(McsimImport, RejectsMalformedSizes)
