@@ -50,7 +50,7 @@ main(int argc, char **argv)
         };
         seeded_jobs.push_back({names[i], seeded_cfg, ""});
     }
-    const auto seeded_results = sweep(std::move(seeded_jobs));
+    const auto seeded_results = sweep(seeded_jobs);
 
     double sum_cold = 0, sum_seeded = 0;
     unsigned n = 0;

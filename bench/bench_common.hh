@@ -25,14 +25,10 @@
  * SPP_ATTRIBUTION_TOPK / SPP_ATTRIBUTION_REGION tune the store.
  * Off by default at zero cost.
  *
- * Traces: pass --trace-dir DIR (or SPP_TRACE_DIR=DIR) to back the
- * sweep with a content-addressed trace store: before the matrix
- * runs, every distinct workload key missing from DIR is recorded
- * once, then all cells replay from the store (generator coroutines
- * never run in the timed jobs). --record (SPP_TRACE_RECORD=1)
- * forces re-recording; --replay FILE (SPP_TRACE_REPLAY=FILE) drives
- * every job from one explicit .spptrace file, e.g. an imported
- * mcsim trace.
+ * Traces: pass --replay FILE (or SPP_TRACE_REPLAY=FILE) to drive
+ * every job from one `.spptrace` file instead of the workload
+ * generators. trace_tool records such a file from a workload or
+ * imports one from mcsim.
  *
  * Results: pass --result-store DIR (or SPP_RESULT_STORE=DIR) to back
  * the sweep with a content-addressed result cache: cells whose
@@ -57,7 +53,7 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <set>
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -72,8 +68,6 @@
 #include "flag_set.hh"
 #include "service/result_store.hh"
 #include "telemetry/options.hh"
-#include "trace/options.hh"
-#include "trace/store.hh"
 #include "workload/workload.hh"
 
 namespace spp {
@@ -100,10 +94,9 @@ inline TelemetryOptions g_telemetry;
  * unless --attribution or SPP_ATTRIBUTION names a directory. */
 inline AttributionOptions g_attribution;
 
-/** Trace capture/replay knobs shared by every config factory below;
- * disabled unless --trace-dir/--replay (or their env twins) are
- * set. */
-inline TraceOptions g_trace;
+/** The `.spptrace` file every config factory below replays; empty
+ * (live runs) unless --replay or SPP_TRACE_REPLAY names one. */
+inline std::string g_replay;
 
 /** Result-cache knobs shared by every config factory below;
  * disabled unless --result-store or SPP_RESULT_STORE names a
@@ -139,8 +132,8 @@ inline const char *
 benchEnvNote()
 {
     return "SPP_JOBS, SPP_BENCH_SCALE, SPP_PROGRESS, SPP_TELEMETRY, "
-           "SPP_TELEMETRY_PERIOD, SPP_ATTRIBUTION, SPP_TRACE_DIR, "
-           "SPP_TRACE_RECORD, SPP_TRACE_REPLAY, SPP_RESULT_STORE";
+           "SPP_TELEMETRY_PERIOD, SPP_ATTRIBUTION, SPP_TRACE_REPLAY, "
+           "SPP_RESULT_STORE";
 }
 
 /** Register the flags every figure/table driver shares. */
@@ -178,15 +171,9 @@ addBenchFlags(FlagSet &fs)
                "write per-job sync-point attribution artifacts "
                "into DIR",
                [](const std::string &v) { g_attribution.dir = v; });
-    fs.onValue("--trace-dir", "DIR",
-               "content-addressed trace store: record missing "
-               "workload keys once, replay everywhere",
-               [](const std::string &v) { g_trace.dir = v; });
-    fs.onSwitch("--record", "force trace re-recording",
-                [] { g_trace.record = true; });
     fs.onValue("--replay", "FILE",
-               "drive every job from one explicit .spptrace file",
-               [](const std::string &v) { g_trace.replayFile = v; });
+               "drive every job from one .spptrace file",
+               [](const std::string &v) { g_replay = v; });
     fs.onValue("--result-store", "DIR",
                "content-addressed result cache: warm cells skip "
                "simulation, cold cells populate",
@@ -246,8 +233,6 @@ finishBenchInit()
         geometryError(g_cores, g_mesh_x, g_mesh_y);
     if (!geo_err.empty())
         SPP_FATAL("{}", geo_err);
-    if (g_trace.record && g_trace.dir.empty())
-        SPP_FATAL("--record needs --trace-dir (or SPP_TRACE_DIR)");
     // Probe SPP_BENCH_SCALE, SPP_JOBS and the --set overrides now so
     // a typo dies at startup, not mid-sweep after a table header.
     defaultBenchScale();
@@ -267,7 +252,8 @@ initBench(int argc, char **argv,
 {
     g_telemetry = TelemetryOptions::fromEnv();
     g_attribution = AttributionOptions::fromEnv();
-    g_trace = TraceOptions::fromEnv();
+    const char *replay = std::getenv("SPP_TRACE_REPLAY");
+    g_replay = replay ? replay : "";
     g_result_store = ResultStoreOptions::fromEnv();
     g_settings.clear();
     FlagSet fs(description, benchEnvNote());
@@ -276,53 +262,12 @@ initBench(int argc, char **argv,
     finishBenchInit();
 }
 
-/**
- * Trace-store pre-pass: with --trace-dir, record every distinct
- * workload key the job list needs but the store lacks (once each,
- * on the worker pool, with sidecars off), then point all jobs at
- * replay. Without it, two cells sharing a key would both pay the
- * recording run — harmless (writes are atomic and byte-identical)
- * but slower than recording once.
- */
-inline void
-prepareTraceStore(std::vector<SweepJob> &jobs)
-{
-    if (g_trace.dir.empty() || !g_trace.replayFile.empty())
-        return;
-    std::vector<SweepJob> recorders;
-    std::set<std::uint64_t> seen;
-    for (SweepJob &job : jobs) {
-        const std::uint64_t key = traceKeyHash(
-            job.workload, job.config.config, job.config.scale);
-        const std::string path =
-            tracePath(g_trace.dir, job.workload, key);
-        if ((g_trace.record || !traceFileExists(path)) &&
-            seen.insert(key).second) {
-            SweepJob rec = job;
-            rec.config.trace = g_trace;
-            rec.config.trace.record = true;
-            rec.config.collectTrace = false;
-            rec.config.telemetry = TelemetryOptions{};
-            rec.config.attribution = AttributionOptions{};
-            rec.config.resultStore = ResultStoreOptions{};
-            rec.label = job.workload + "/trace-record";
-            recorders.push_back(std::move(rec));
-        }
-        job.config.trace = g_trace;
-        job.config.trace.record = false;
-    }
-    if (!recorders.empty())
-        runSweep(recorders, g_jobs);
-}
-
-/** Run a job list on the configured worker count (after the trace
- * store pre-pass, when one is configured). With a result store the
- * cumulative store traffic prints to stderr afterwards — stdout
- * stays byte-identical to an uncached run. */
+/** Run a job list on the configured worker count. With a result
+ * store the cumulative store traffic prints to stderr afterwards —
+ * stdout stays byte-identical to an uncached run. */
 inline std::vector<ExperimentResult>
-sweep(std::vector<SweepJob> jobs)
+sweep(const std::vector<SweepJob> &jobs)
 {
-    prepareTraceStore(jobs);
     std::vector<ExperimentResult> results = runSweep(jobs, g_jobs);
     if (g_result_store.enabled()) {
         const ResultStoreStats &s = resultStoreStats();
@@ -354,7 +299,7 @@ sweepMatrix(const std::vector<std::string> &names,
     for (const std::string &name : names)
         for (const ExperimentConfig &cfg : configs)
             jobs.push_back({name, cfg, ""});
-    return sweep(std::move(jobs));
+    return sweep(jobs);
 }
 
 /** All workload names, in the paper's order. */
@@ -377,7 +322,7 @@ directoryConfig()
     c.scale = defaultBenchScale();
     c.telemetry = g_telemetry;
     c.attribution = g_attribution;
-    c.trace = g_trace;
+    c.replayTrace = g_replay;
     c.resultStore = g_result_store;
     return c;
 }
@@ -392,7 +337,7 @@ broadcastConfig()
     c.scale = defaultBenchScale();
     c.telemetry = g_telemetry;
     c.attribution = g_attribution;
-    c.trace = g_trace;
+    c.replayTrace = g_replay;
     c.resultStore = g_result_store;
     return c;
 }
@@ -408,7 +353,7 @@ predictedConfig(PredictorKind kind)
     c.scale = defaultBenchScale();
     c.telemetry = g_telemetry;
     c.attribution = g_attribution;
-    c.trace = g_trace;
+    c.replayTrace = g_replay;
     c.resultStore = g_result_store;
     return c;
 }

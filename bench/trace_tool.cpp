@@ -1,7 +1,8 @@
 /**
  * @file
- * Trace store utility: record, inspect, replay and import
- * `.spptrace` workload traces outside the figure harnesses.
+ * Trace utility: record, inspect, replay and import `.spptrace`
+ * workload traces. A trace is a plain file: the drivers replay one
+ * with --replay FILE.
  *
  *   trace_tool record WORKLOAD OUT [--scale S] [--cores N]
  *                                  [--seed N]
@@ -34,7 +35,6 @@
 #include "trace/codec.hh"
 #include "trace/mcsim.hh"
 #include "trace/replay.hh"
-#include "trace/store.hh"
 
 using namespace spp;
 
@@ -79,27 +79,14 @@ cmdRecord(int argc, char **argv)
             return usage();
         }
     }
-    const WorkloadSpec *spec = findWorkload(name);
-    if (!spec)
-        SPP_FATAL("unknown workload '{}'", name);
-
-    TraceRecorder rec(cfg.numCores);
-    CmpSystem sys(cfg);
-    sys.setTraceSink(&rec);
-    WorkloadParams params;
-    params.scale = scale;
-    sys.run([spec, params](ThreadContext &ctx) {
-        return spec->run(ctx, params);
-    });
-    rec.data.meta = traceMetaFor(name, cfg, scale);
-
+    const TraceData trace = recordTrace(name, cfg, scale);
     std::string err;
-    const auto bytes = encodeTrace(rec.data);
+    const auto bytes = encodeTrace(trace);
     if (!writeFileBytesAtomic(out, bytes, err))
         SPP_FATAL("cannot write {}: {}", out, err);
     std::printf("%s: %llu ops, %u threads, %zu bytes\n", out.c_str(),
-                static_cast<unsigned long long>(rec.data.totalOps()),
-                rec.data.meta.numThreads, bytes.size());
+                static_cast<unsigned long long>(trace.totalOps()),
+                trace.meta.numThreads, bytes.size());
     return 0;
 }
 

@@ -9,7 +9,6 @@
 #include "telemetry/telemetry.hh"
 #include "trace/codec.hh"
 #include "trace/replay.hh"
-#include "trace/store.hh"
 
 namespace spp {
 
@@ -63,12 +62,6 @@ ExperimentResult::indirectionPct() const
     return misses > 0 ? 100.0 * (comm - sufficient) / misses : 0.0;
 }
 
-namespace {
-
-enum class TraceMode { off, record, replay };
-
-} // namespace
-
 ExperimentResult
 runExperiment(const std::string &workload_name,
               const ExperimentConfig &xcfg)
@@ -104,32 +97,17 @@ runExperiment(const std::string &workload_name,
         }
     }
 
-    TraceMode tmode = TraceMode::off;
-    std::string trace_file;
-    if (!xcfg.trace.replayFile.empty()) {
-        tmode = TraceMode::replay;
-        trace_file = xcfg.trace.replayFile;
-    } else if (!xcfg.trace.dir.empty()) {
-        trace_file = tracePath(
-            xcfg.trace.dir, workload_name,
-            traceKeyHash(workload_name, cfg, xcfg.scale));
-        tmode = !xcfg.trace.record && traceFileExists(trace_file)
-            ? TraceMode::replay
-            : TraceMode::record;
-    }
-
     // A replayed run never consults the generator registry: the op
     // stream on disk is the workload (imported traces have no
     // registered generator at all).
+    const std::string &trace_file = xcfg.replayTrace;
     const WorkloadSpec *spec = nullptr;
-    if (tmode != TraceMode::replay) {
+    std::shared_ptr<const TraceData> replay_data;
+    if (trace_file.empty()) {
         spec = findWorkload(workload_name);
         if (!spec)
             SPP_FATAL("unknown workload '{}'", workload_name);
-    }
-
-    std::shared_ptr<const TraceData> replay_data;
-    if (tmode == TraceMode::replay) {
+    } else {
         auto data = std::make_shared<TraceData>(
             loadTraceOrFatal(trace_file));
         const std::string err = traceReplayError(*data, cfg);
@@ -149,18 +127,9 @@ runExperiment(const std::string &workload_name,
     if (xcfg.telemetry.enabled()) {
         telemetry.emplace(xcfg.telemetry, label);
         telemetry->manifest().set("workload", Json(workload_name));
-        if (tmode != TraceMode::off) {
-            telemetry->manifest().set(
-                "trace_mode",
-                Json(tmode == TraceMode::record ? "record"
-                                                : "replay"));
+        if (replay_data)
             telemetry->manifest().set("trace_file",
                                       Json(trace_file));
-            telemetry->manifest().set(
-                "trace_key",
-                Json(traceKeyDescribe(workload_name, cfg,
-                                      xcfg.scale)));
-        }
         telemetry->manifest().beginPhase("build");
     }
     std::unique_ptr<AttributionProfiler> attrib;
@@ -171,12 +140,6 @@ runExperiment(const std::string &workload_name,
     CmpSystem sys(cfg);
     if (xcfg.prepare)
         xcfg.prepare(sys);
-
-    std::unique_ptr<TraceRecorder> recorder;
-    if (tmode == TraceMode::record) {
-        recorder = std::make_unique<TraceRecorder>(cfg.numCores);
-        sys.setTraceSink(recorder.get());
-    }
 
     ExperimentResult res;
     if (xcfg.collectTrace) {
@@ -212,16 +175,6 @@ runExperiment(const std::string &workload_name,
         res.run = sys.run([spec, params](ThreadContext &ctx) {
             return spec->run(ctx, params);
         });
-    }
-
-    if (recorder) {
-        recorder->data.meta =
-            traceMetaFor(workload_name, cfg, xcfg.scale);
-        std::string err;
-        if (!writeFileBytesAtomic(trace_file,
-                                  encodeTrace(recorder->data), err))
-            SPP_FATAL("failed to write trace {}: {}", trace_file,
-                      err);
     }
 
     if (telemetry)

@@ -19,7 +19,6 @@
 #include "service/options.hh"
 #include "sim/cmp_system.hh"
 #include "telemetry/options.hh"
-#include "trace/options.hh"
 #include "workload/workload.hh"
 
 namespace spp {
@@ -43,12 +42,9 @@ struct ExperimentConfig
     /** Per-sync-point attribution profiling (attribution.{json,txt}
      * artifacts); disabled unless attribution.dir is set. */
     AttributionOptions attribution;
-    /** Trace capture/replay (see trace/options.hh): with a store
-     * dir, runs replay a previously recorded op stream when one
-     * matches the workload key and record one otherwise; with a
-     * replay file, that exact trace drives the machine. Off unless
-     * one of the two is set. */
-    TraceOptions trace;
+    /** A `.spptrace` file (trace/replay.hh) that drives the machine
+     * instead of the workload's generator; empty = a live run. */
+    std::string replayTrace;
     /** Content-addressed result cache (service/result_store.hh):
      * with a store dir, cacheable runs are served from a warm entry
      * when one matches the cell key and simulate + populate the

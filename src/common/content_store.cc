@@ -39,13 +39,6 @@ contentStorePath(const std::string &dir, const std::string &name,
 }
 
 bool
-contentFileExists(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    return static_cast<bool>(in);
-}
-
-bool
 readFileBytes(const std::string &path, std::vector<std::uint8_t> &out,
               std::string &err)
 {

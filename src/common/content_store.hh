@@ -1,13 +1,11 @@
 /**
  * @file
- * Shared content-addressed store machinery.
+ * Content-addressed store machinery and the file I/O it shares
+ * with the trace codec.
  *
- * Two subsystems keep artifacts on disk keyed by *what produced
- * them* rather than by a caller-chosen name: the trace store
- * (trace/store.hh, one recorded op stream per workload key) and the
- * result store (service/result_store.hh, one experiment result per
- * config/workload/git key). Both follow the same discipline, which
- * lives here once:
+ * The result store (service/result_store.hh) keeps one experiment
+ * result per config/workload/git key on disk, named by *what
+ * produced it* rather than by a caller-chosen name. Its discipline:
  *
  *  - Keys are FNV-1a hashes of a canonical human-readable
  *    "schema k=v k=v ..." preimage (ContentKey), so every key is
@@ -20,7 +18,7 @@
  *    deterministic content race harmlessly, and a crash never leaves
  *    a half-written entry behind. The store directory is created on
  *    demand at first write, so read-only consumers never touch the
- *    filesystem.
+ *    filesystem. `.spptrace` files are written the same way.
  *  - Loads are strict: a missing, unreadable or short file reports a
  *    descriptive error instead of partial bytes; content validation
  *    (checksums, schema checks) stays with the caller's codec.
@@ -42,8 +40,7 @@ namespace spp {
  * Builds the canonical key preimage ("schema k=v k=v ...") and its
  * FNV-1a hash. Field order is part of the key, so call sites must
  * append in one fixed order; values render exactly as operator<<
- * prints them (doubles in the default 6-significant-digit form the
- * historical trace keys used).
+ * prints them (doubles in the default 6-significant-digit form).
  */
 class ContentKey
 {
@@ -78,9 +75,6 @@ std::string contentStorePath(const std::string &dir,
                              const std::string &name,
                              std::uint64_t key_hash,
                              const std::string &extension);
-
-/** Does @p path exist and open readable? */
-bool contentFileExists(const std::string &path);
 
 /** Slurp a file; false + @p err when unreadable or short. */
 bool readFileBytes(const std::string &path,

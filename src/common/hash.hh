@@ -33,8 +33,9 @@ namespace spp {
 
 /**
  * FNV-1a over a byte range: the content hash used for config
- * identity (configHash), run manifests, and the trace store's
- * workload keys. Stable across hosts and builds by construction.
+ * identity (configHash), run manifests, result-store keys and the
+ * `.spptrace` checksum. Stable across hosts and builds by
+ * construction.
  */
 inline std::uint64_t
 fnv1a64(const unsigned char *data, std::size_t n,

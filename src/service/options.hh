@@ -2,9 +2,9 @@
  * @file
  * Result-store configuration (see service/result_store.hh).
  *
- * Mirrors trace/options.hh: a tiny value struct the bench CLI and
- * the environment fill in, inert unless a directory is set, so the
- * default experiment path never touches the filesystem.
+ * A tiny value struct the bench CLI and the environment fill in,
+ * inert unless a directory is set, so the default experiment path
+ * never touches the filesystem.
  */
 
 #ifndef SPP_SERVICE_OPTIONS_HH

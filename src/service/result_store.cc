@@ -40,12 +40,13 @@ resultPath(const std::string &dir, const std::string &workload,
 bool
 resultCacheable(const ExperimentConfig &cfg)
 {
-    // prepare() mutates the built system invisibly to the key;
-    // telemetry, attribution, trace capture/replay and the coherence
-    // checkers all do work a cache hit would silently skip.
+    // prepare() mutates the built system invisibly to the key, and
+    // a replayed trace file is an input the key does not hash;
+    // telemetry, attribution and the coherence checkers all do work
+    // a cache hit would silently skip.
     return !cfg.prepare && !cfg.telemetry.enabled() &&
-        !cfg.attribution.enabled() && cfg.trace.dir.empty() &&
-        cfg.trace.replayFile.empty() && !cfg.checkCoherence;
+        !cfg.attribution.enabled() && cfg.replayTrace.empty() &&
+        !cfg.checkCoherence;
 }
 
 namespace {

@@ -19,10 +19,11 @@
  * to simulation (which then overwrites the bad entry).
  *
  * Not every cell is cacheable: runs with prepare() hooks mutate the
- * built system in ways the key cannot see, and runs with telemetry,
- * attribution, trace capture/replay, or coherence checking produce
- * side artifacts a cache hit would silently skip. Those cells bypass
- * the store (counted separately from misses).
+ * built system in ways the key cannot see, a replayed trace file is
+ * an input the key does not hash, and runs with telemetry,
+ * attribution or coherence checking produce side artifacts a cache
+ * hit would silently skip. Those cells bypass the store (counted
+ * separately from misses).
  */
 
 #ifndef SPP_SERVICE_RESULT_STORE_HH

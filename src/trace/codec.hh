@@ -11,7 +11,8 @@
  *   u32 lineBytes         recorded Config::lineBytes
  *   u32 flags             reserved, must be 0
  *   u64 scaleBits         IEEE-754 bits of WorkloadParams::scale
- *   u64 keyHash           traceKeyHash of the recorded run (0 = n/a)
+ *   u64 keyHash           0 = n/a (files from older builds may
+ *                         carry a store key hash; ignored)
  *   u32 nameLen, bytes    workload name / import tag
  *   u64 totalOps          must equal the sum of per-thread counts
  *   per thread:  u64 opCount, then opCount encoded ops

@@ -75,8 +75,8 @@ struct TraceMeta
     std::uint64_t seed = 0;     ///< Config::seed of the recorded run.
     std::uint32_t lineBytes = 64;
     double scale = 1.0;         ///< WorkloadParams::scale.
-    std::uint64_t keyHash = 0;  ///< traceKeyHash of the recorded run;
-                                ///< 0 for imported traces.
+    std::uint64_t keyHash = 0;  ///< 0 = n/a; older recordings carry
+                                ///< a store key hash, unused.
 };
 
 /** A fully decoded trace: metadata + one op stream per thread. */

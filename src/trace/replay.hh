@@ -1,7 +1,8 @@
 /**
  * @file
- * Trace replay: drive a CmpSystem from a recorded `.spptrace` op
- * stream instead of a live generator coroutine.
+ * Trace record and replay: capture a workload's `.spptrace` op
+ * stream from a live run, and drive a CmpSystem from one instead of
+ * a live generator coroutine.
  *
  * Replay preserves per-thread program order exactly — each thread
  * awaits its recorded ops one at a time through the ordinary
@@ -19,11 +20,31 @@
 #define SPP_TRACE_REPLAY_HH
 
 #include <memory>
+#include <string>
 
 #include "sim/cmp_system.hh"
 #include "trace/format.hh"
 
 namespace spp {
+
+/**
+ * Run @p workload's generator once on a machine configured as
+ * @p cfg at iteration scale @p scale and return the op stream it
+ * issued, with its provenance (keyHash 0). Fatal on an unknown
+ * workload.
+ */
+TraceData recordTrace(const std::string &workload, const Config &cfg,
+                      double scale);
+
+/**
+ * Validate that @p trace can drive a machine configured as @p cfg:
+ * the thread count must match cfg.numCores exactly. Returns an
+ * error message, or "" when compatible. A differing lineBytes is
+ * legal (addresses are absolute) but changes sharing granularity;
+ * the caller may warn.
+ */
+std::string traceReplayError(const TraceData &trace,
+                             const Config &cfg);
 
 /**
  * Per-thread program that replays @p trace; pass to CmpSystem::run.

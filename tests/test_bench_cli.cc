@@ -249,8 +249,6 @@ TEST(InitBenchDeathTest, DiesAtTheFlagSite)
                 testing::ExitedWithCode(1), "--mesh");
     EXPECT_EXIT(initBenchWith({"--cores", "16", "--mesh", "5", "5"}),
                 testing::ExitedWithCode(1), "--mesh 5x5");
-    EXPECT_EXIT(initBenchWith({"--record"}),
-                testing::ExitedWithCode(1), "--record");
     EXPECT_EXIT(initBenchWith({"--set", "meshX=5", "--set", "meshY=5"}),
                 testing::ExitedWithCode(1),
                 "mesh 5x5 does not cover 16 cores");

@@ -9,9 +9,10 @@
  * modelled behaviour with fewer or more events keeps its fingerprint.
  * The hashes are compared with tests/golden/fingerprint.txt, one
  * "label hash" line per cell. The replay cells first record every
- * program under the directory protocol into a trace store the test
- * owns, then replay those traces under SP prediction; a replay
- * reproduces its live run, so each hashes like its live twin.
+ * program under the directory protocol into `<program>.spptrace` in a
+ * directory the test owns, then replay those files under SP
+ * prediction; a replay reproduces its live run, so each hashes like
+ * its live twin.
  *
  * On a mismatch the test names every differing cell and writes the
  * fresh file next to the test binary. A change that is meant to alter
@@ -35,7 +36,8 @@
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "service/result_codec.hh"
-#include "trace/store.hh"
+#include "trace/codec.hh"
+#include "trace/replay.hh"
 #include "workload/workload.hh"
 
 using namespace spp;
@@ -57,6 +59,14 @@ struct Cell
     /** Trace that drives the machine instead of the generator. */
     std::string replayFile = {};
 };
+
+/** The file recordTraces() writes @p workload's trace to. */
+std::string
+traceFile(const std::string &workload)
+{
+    return std::string(SPP_FINGERPRINT_TRACES) + "/" + workload +
+        ".spptrace";
+}
 
 Config
 machine(Protocol protocol, PredictorKind predictor)
@@ -211,21 +221,19 @@ fingerprintCells()
     }
 
     // Every program replayed under SP prediction from the trace
-    // recordTraces() stored: the replay frontend, not the generator,
+    // recordTraces() wrote: the replay frontend, not the generator,
     // issues the ops.
     for (const WorkloadSpec &spec : workloadRegistry())
-        cells.push_back(
-            {"16/" + spec.name + "/predicted-sp/replay", spec.name, sp,
-             tracePath(SPP_FINGERPRINT_TRACES, spec.name,
-                       traceKeyHash(spec.name, sp, cellScale))});
+        cells.push_back({"16/" + spec.name + "/predicted-sp/replay",
+                         spec.name, sp, traceFile(spec.name)});
     return cells;
 }
 
 /**
  * Record every program once, at the cells' scale under the directory
- * protocol, into the test's own trace store (emptied first). The
- * replay cells name these files directly, so a missing trace is
- * fatal rather than a silent live run.
+ * protocol, into the test's own trace directory (emptied first). A
+ * missing trace is fatal for its replay cell, never a silent live
+ * run.
  */
 void
 recordTraces()
@@ -235,15 +243,18 @@ recordTraces()
     std::vector<std::string> programs;
     for (const WorkloadSpec &spec : workloadRegistry())
         programs.push_back(spec.name);
-    SweepRunner().map(programs, [](const std::string &wl) {
-        ExperimentConfig x;
-        x.config = machine(Protocol::directory, PredictorKind::none);
-        x.scale = cellScale;
-        x.trace.dir = SPP_FINGERPRINT_TRACES;
-        x.trace.record = true;
-        runExperiment(wl, x);
-        return 0;
-    });
+    const std::vector<std::string> errors =
+        SweepRunner().map(programs, [](const std::string &wl) {
+            const TraceData trace = recordTrace(
+                wl, machine(Protocol::directory, PredictorKind::none),
+                cellScale);
+            std::string err;
+            writeFileBytesAtomic(traceFile(wl), encodeTrace(trace),
+                                 err);
+            return err;
+        });
+    for (const std::string &err : errors)
+        EXPECT_EQ(err, "");
 }
 
 std::string
@@ -262,7 +273,7 @@ cellHash(const Cell &cell)
     ExperimentConfig x;
     x.config = cell.config;
     x.scale = cellScale;
-    x.trace.replayFile = cell.replayFile;
+    x.replayTrace = cell.replayFile;
     ExperimentResult res = runExperiment(cell.workload, x);
     res.run.eventsExecuted = 0;
     return hex16(fnv1a64(resultToJson(res).dump()));

@@ -1,9 +1,9 @@
 /**
  * @file
- * Trace frontend tests: codec round-trip and strictness, store
- * keying, record-then-replay equivalence (both at the CmpSystem
- * level and through the experiment harness + on-disk store), and the
- * mcsim TraceGen import adapter, including a full-width replay of
+ * Trace frontend tests: codec round-trip and strictness, recording,
+ * record-then-replay equivalence (both at the CmpSystem level and
+ * through the experiment harness from a trace file), and the mcsim
+ * TraceGen import adapter, including a full-width replay of
  * addresses above 4 GiB.
  */
 
@@ -21,12 +21,12 @@
 #include "analysis/experiment.hh"
 #include "common/config.hh"
 #include "common/logging.hh"
+#include "service/result_store.hh"
 #include "sim/cmp_system.hh"
 #include "trace/codec.hh"
 #include "trace/format.hh"
 #include "trace/mcsim.hh"
 #include "trace/replay.hh"
-#include "trace/store.hh"
 #include "workload/workload.hh"
 
 using namespace spp;
@@ -299,50 +299,7 @@ TEST(TraceCodec, AtomicWriteRoundTripsThroughFile)
     EXPECT_EQ(loaded.threads, t.threads);
 }
 
-TEST(TraceStore, KeyDependsOnStreamShapingFieldsOnly)
-{
-    Config cfg;
-    const std::uint64_t base = traceKeyHash("fft", cfg, 0.5);
-    EXPECT_EQ(traceKeyHash("fft", cfg, 0.5), base);
-
-    // Stream-shaping fields change the key...
-    EXPECT_NE(traceKeyHash("ocean", cfg, 0.5), base);
-    EXPECT_NE(traceKeyHash("fft", cfg, 0.7), base);
-    Config seeded = cfg;
-    seeded.seed = cfg.seed + 1;
-    EXPECT_NE(traceKeyHash("fft", seeded, 0.5), base);
-    Config wide = cfg;
-    wide.numCores = 64;
-    EXPECT_NE(traceKeyHash("fft", wide, 0.5), base);
-    Config lines = cfg;
-    lines.lineBytes = 32;
-    EXPECT_NE(traceKeyHash("fft", lines, 0.5), base);
-
-    // ...timing/protocol fields must not: one trace serves every
-    // protocol/predictor/format cell of a sweep.
-    Config proto = cfg;
-    proto.protocol = Protocol::broadcast;
-    EXPECT_EQ(traceKeyHash("fft", proto, 0.5), base);
-    Config pred = cfg;
-    pred.protocol = Protocol::predicted;
-    pred.predictor = PredictorKind::sp;
-    EXPECT_EQ(traceKeyHash("fft", pred, 0.5), base);
-    Config fmt = cfg;
-    fmt.sharerFormat = SharerFormat::coarse;
-    EXPECT_EQ(traceKeyHash("fft", fmt, 0.5), base);
-}
-
-TEST(TraceStore, PathEmbedsWorkloadAndKey)
-{
-    const std::string p = tracePath("/tmp/traces", "fft",
-                                    0x1234abcdu);
-    EXPECT_NE(p.find("/tmp/traces/"), std::string::npos);
-    EXPECT_NE(p.find("fft-"), std::string::npos);
-    EXPECT_NE(p.find("1234abcd"), std::string::npos);
-    EXPECT_NE(p.find(".spptrace"), std::string::npos);
-}
-
-TEST(TraceStore, ReplayErrorOnCoreCountMismatch)
+TEST(TraceReplay, ErrorOnCoreCountMismatch)
 {
     Config cfg;
     TraceData t;
@@ -368,7 +325,6 @@ TEST(TraceReplay, MatchesLiveAcrossWorkloadsAndProtocols)
         TraceRecorder recorder(protos[0].numCores);
         const RunResult recorded =
             liveRun(wl, protos[0], scale, &recorder);
-        recorder.data.meta = traceMetaFor(wl, protos[0], scale);
         auto trace = std::make_shared<const TraceData>(
             std::move(recorder.data));
         EXPECT_GT(trace->totalOps(), 0u) << wl;
@@ -385,66 +341,69 @@ TEST(TraceReplay, MatchesLiveAcrossWorkloadsAndProtocols)
     }
 }
 
+TEST(TraceRecord, CapturesTheLiveStreamWithProvenance)
+{
+    QuietScope quiet;
+    Config cfg = smallConfig(Protocol::directory, PredictorKind::none);
+    cfg.seed = 7;
+    TraceRecorder recorder(cfg.numCores);
+    liveRun("fft", cfg, 0.15, &recorder);
+
+    const TraceData trace = recordTrace("fft", cfg, 0.15);
+    EXPECT_EQ(trace.threads, recorder.data.threads);
+    EXPECT_EQ(trace.meta.workload, "fft");
+    EXPECT_EQ(trace.meta.numThreads, cfg.numCores);
+    EXPECT_EQ(trace.meta.seed, 7u);
+    EXPECT_EQ(trace.meta.lineBytes, cfg.lineBytes);
+    EXPECT_EQ(trace.meta.scale, 0.15);
+    EXPECT_EQ(trace.meta.keyHash, 0u);
+}
+
 TEST(TraceReplay, SurvivesCodecRoundTrip)
 {
     QuietScope quiet;
     const Config cfg =
         smallConfig(Protocol::directory, PredictorKind::none);
-    TraceRecorder recorder(cfg.numCores);
-    liveRun("fft", cfg, 0.15, &recorder);
-    recorder.data.meta = traceMetaFor("fft", cfg, 0.15);
+    const TraceData trace = recordTrace("fft", cfg, 0.15);
 
     TraceData decoded;
     std::string err;
-    ASSERT_TRUE(decodeTrace(encodeTrace(recorder.data), decoded,
-                            err))
-        << err;
-    const RunResult a = replayRun(
-        std::make_shared<const TraceData>(recorder.data), cfg);
+    ASSERT_TRUE(decodeTrace(encodeTrace(trace), decoded, err)) << err;
+    const RunResult a =
+        replayRun(std::make_shared<const TraceData>(trace), cfg);
     const RunResult b = replayRun(
         std::make_shared<const TraceData>(std::move(decoded)), cfg);
     EXPECT_EQ(keyOf(a), keyOf(b));
 }
 
-TEST(TraceExperiment, StoreRecordsThenReplays)
+TEST(TraceExperiment, ReplayFileRunsLikeLive)
 {
     QuietScope quiet;
-    TempDir dir("store");
-    ExperimentConfig cfg;
-    cfg.config.protocol = Protocol::directory;
-    cfg.scale = 0.15;
-    cfg.trace.dir = dir.path.string();
+    TempDir dir("experiment");
+    ExperimentConfig live;
+    live.config.protocol = Protocol::directory;
+    live.scale = 0.15;
+    const std::string path = dir.file("fft.spptrace");
+    std::string err;
+    ASSERT_TRUE(writeFileBytesAtomic(
+        path, encodeTrace(recordTrace("fft", live.config, live.scale)),
+        err))
+        << err;
 
-    // First run records into the store...
-    const ExperimentResult live = runExperiment("fft", cfg);
-    const std::string path = tracePath(
-        cfg.trace.dir, "fft",
-        traceKeyHash("fft", cfg.config, cfg.scale));
-    ASSERT_TRUE(traceFileExists(path)) << path;
-
-    // ...second run replays from it, bit-identically.
-    const ExperimentResult replayed = runExperiment("fft", cfg);
-    EXPECT_EQ(keyOf(replayed.run), keyOf(live.run));
-
-    // A different protocol cell reuses the same trace file.
-    ExperimentConfig pred = cfg;
-    pred.config.protocol = Protocol::predicted;
-    pred.config.predictor = PredictorKind::sp;
-    EXPECT_EQ(tracePath(pred.trace.dir, "fft",
-                        traceKeyHash("fft", pred.config,
-                                     pred.scale)),
-              path);
-    ExperimentConfig livePred = pred;
-    livePred.trace = TraceOptions{};
-    EXPECT_EQ(keyOf(runExperiment("fft", pred).run),
-              keyOf(runExperiment("fft", livePred).run));
-
-    // Explicit --replay of the stored file matches as well.
-    ExperimentConfig explicitReplay = cfg;
-    explicitReplay.trace = TraceOptions{};
-    explicitReplay.trace.replayFile = path;
-    EXPECT_EQ(keyOf(runExperiment("fft", explicitReplay).run),
-              keyOf(live.run));
+    // The trace file drives the recording protocol and any other
+    // protocol cell exactly as the generator does.
+    ExperimentConfig livePred = live;
+    livePred.config.protocol = Protocol::predicted;
+    livePred.config.predictor = PredictorKind::sp;
+    for (const ExperimentConfig &x : {live, livePred}) {
+        ExperimentConfig replay = x;
+        replay.replayTrace = path;
+        EXPECT_EQ(keyOf(runExperiment("fft", replay).run),
+                  keyOf(runExperiment("fft", x).run))
+            << toString(x.config.protocol);
+        // The result store does not hash the trace file's content.
+        EXPECT_FALSE(resultCacheable(replay));
+    }
 }
 
 TEST(McsimImport, MapsAccessesAndCoalescesCompute)
