@@ -542,6 +542,12 @@ class MemSys
     friend class ProtocolChecker;
 
   private:
+    /** First phase of access(), counted once by access(): the
+     * writeback-buffer check and the L1 lookup. An access stalled on
+     * the writeback buffer re-enters here with its issue tick. */
+    void accessL1(CoreId core, Addr addr, bool is_write, Pc pc,
+                  Tick issue_tick);
+
     /** Second phase of access(): L2 lookup after L1 miss. */
     void accessL2(CoreId core, Addr addr, bool is_write, Pc pc,
                   Tick issue_tick);

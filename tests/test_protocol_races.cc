@@ -87,13 +87,24 @@ TEST(Races, EvictorReacquiresOwnWritebackLine)
     AccessOutcome w = h.access(0, a, true);
     // Both in flight from the same core is impossible (in-order), so
     // force the tight sequence: evict then immediately re-access.
-    h.issue(0, conflict, false, 0x1,
-            [&] { h.issue(0, a, false, 0x2); });
+    Tick reissued = 0;
+    h.issue(0, conflict, false, 0x1, [&] {
+        reissued = h.eq.curTick();
+        h.issue(0, a, false, 0x2);
+    });
     h.eq.run();
     const AccessOutcome out = h.outcome(0);
     EXPECT_EQ(out.dataVersion, w.dataVersion);
     EXPECT_TRUE(out.miss());
     h.sys->checkCoherence();
+
+    // The stalled access counts once, and its latency includes the
+    // stall: it keeps the tick it was issued at.
+    const MemSysStats &st = h.sys->stats();
+    EXPECT_EQ(st.accesses.value(), 3u);
+    EXPECT_EQ(st.l1Hits.value() + st.l2Hits.value() + st.misses.value(),
+              3u);
+    EXPECT_EQ(out.issueTick, reissued);
 }
 
 TEST(Races, PredictedRequestDuringActiveTransaction)
