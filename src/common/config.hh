@@ -143,7 +143,6 @@ struct Config
     unsigned maxHotSetSize = 0;     ///< Cap on extracted hot sets
                                     ///< (0 = unbounded; Sec 5.2
                                     ///< power-envelope policy).
-    Tick spTableLatency = 4;        ///< Hot-set extraction cost.
 
     /**
      * Region-based sharing filter (Section 5.3): suppress prediction
@@ -229,7 +228,7 @@ std::string configValidate(const Config &cfg);
     X(sharerFormat) X(coarseCoresPerBit) X(sharerPointers)            \
     X(hotThreshold) X(historyDepth) X(warmupMisses) X(noiseMisses)    \
     X(confidenceBits) X(enableRecovery) X(enablePatterns)             \
-    X(unionEpochIntoLock) X(maxHotSetSize) X(spTableLatency)          \
+    X(unionEpochIntoLock) X(maxHotSetSize)                            \
     X(enableSharingFilter) X(filterRegionBytes)                       \
     X(macroBlockBytes) X(groupThreshold) X(trainDownPeriod)           \
     X(predictorEntries)                                               \
