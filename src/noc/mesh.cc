@@ -36,12 +36,6 @@ Mesh::zeroLoadLatency(unsigned n_hops, unsigned bytes) const
          + (n_hops ? serialization : 0);
 }
 
-void
-Mesh::send(const Packet &pkt, DeliverFn on_delivery)
-{
-    eq_.schedule(inject(pkt), std::move(on_delivery));
-}
-
 Tick
 Mesh::inject(const Packet &pkt)
 {

@@ -10,9 +10,10 @@
  * reproduces hop latency, serialization and queueing delay without
  * flit-level simulation (the paper reports congestion stays low).
  *
- * Delivery is callback-based: send() computes the arrival tick,
- * schedules the callback on the EventQueue, and accounts bytes per
- * traffic class for the bandwidth/energy figures.
+ * inject() accounts a packet's bytes per traffic class for the
+ * bandwidth/energy figures and returns its arrival tick; the caller
+ * schedules the delivery (MemSys on the EventQueue, the model
+ * checker through its own interleaving explorer).
  */
 
 #ifndef SPP_NOC_MESH_HH
@@ -56,30 +57,15 @@ struct NocStats
 class Mesh
 {
   public:
-    /** Delivery continuation; an event-queue action so the closure
-     * rides inline from send() into the scheduled event. */
-    using DeliverFn = EventQueue::Action;
-
     Mesh(const Config &cfg, EventQueue &eq);
 
     /** Manhattan hop count between two tiles. */
     unsigned hops(CoreId src, CoreId dst) const;
 
     /**
-     * Inject @p pkt; @p on_delivery runs at the arrival tick.
-     * Local (src == dst) packets are delivered after the router
-     * pipeline only.
-     */
-    void send(const Packet &pkt, DeliverFn on_delivery);
-
-    /**
-     * Inject @p pkt without scheduling a delivery: accounts traffic,
-     * reserves links (under contention modeling) and returns the
-     * arrival tick. send() is inject() plus scheduling the callback;
-     * callers that route delivery through their own scheduler (the
-     * model checker's interleaving explorer) use inject() directly,
-     * so the NoC timing/accounting model stays identical in both
-     * modes.
+     * Inject @p pkt: account its traffic, reserve its links (under
+     * contention modeling) and return the tick it arrives at. Local
+     * (src == dst) packets arrive after the router pipeline only.
      */
     Tick inject(const Packet &pkt);
 

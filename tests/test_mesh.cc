@@ -50,7 +50,7 @@ TEST_F(MeshFixture, DeliveryAtExpectedTick)
 {
     Tick delivered = 0;
     Packet p{0, 3, 8, TrafficClass::request};
-    mesh.send(p, [&] { delivered = eq.curTick(); });
+    eq.schedule(mesh.inject(p), [&] { delivered = eq.curTick(); });
     eq.run();
     EXPECT_EQ(delivered, mesh.zeroLoadLatency(3, 8));
 }
@@ -58,16 +58,16 @@ TEST_F(MeshFixture, DeliveryAtExpectedTick)
 TEST_F(MeshFixture, LocalDelivery)
 {
     Tick delivered = 0;
-    mesh.send(Packet{5, 5, 8, TrafficClass::request},
-              [&] { delivered = eq.curTick(); });
+    eq.schedule(mesh.inject(Packet{5, 5, 8, TrafficClass::request}),
+                [&] { delivered = eq.curTick(); });
     eq.run();
     EXPECT_EQ(delivered, cfg.routerLatency);
 }
 
 TEST_F(MeshFixture, BytesAccounting)
 {
-    mesh.send(Packet{0, 1, 8, TrafficClass::request}, [] {});
-    mesh.send(Packet{0, 2, 72, TrafficClass::data}, [] {});
+    eq.schedule(mesh.inject(Packet{0, 1, 8, TrafficClass::request}), [] {});
+    eq.schedule(mesh.inject(Packet{0, 2, 72, TrafficClass::data}), [] {});
     eq.run();
     EXPECT_EQ(mesh.stats().packets.value(), 2u);
     EXPECT_EQ(mesh.stats().flitBytes.value(), 80u);
@@ -81,10 +81,10 @@ TEST_F(MeshFixture, ContentionDelaysSecondPacket)
 {
     // Two large packets on the same path: the second head waits.
     Tick t1 = 0, t2 = 0;
-    mesh.send(Packet{0, 3, 72, TrafficClass::data},
-              [&] { t1 = eq.curTick(); });
-    mesh.send(Packet{0, 3, 72, TrafficClass::data},
-              [&] { t2 = eq.curTick(); });
+    eq.schedule(mesh.inject(Packet{0, 3, 72, TrafficClass::data}),
+                [&] { t1 = eq.curTick(); });
+    eq.schedule(mesh.inject(Packet{0, 3, 72, TrafficClass::data}),
+                [&] { t2 = eq.curTick(); });
     eq.run();
     EXPECT_GT(t2, t1);
 }
@@ -93,8 +93,8 @@ TEST_F(MeshFixture, SameRouteIsFifo)
 {
     std::vector<int> order;
     for (int i = 0; i < 6; ++i) {
-        mesh.send(Packet{0, 15, 8, TrafficClass::request},
-                  [&order, i] { order.push_back(i); });
+        eq.schedule(mesh.inject(Packet{0, 15, 8, TrafficClass::request}),
+                    [&order, i] { order.push_back(i); });
     }
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
@@ -107,10 +107,10 @@ TEST(MeshNoContention, ZeroLoadWhenDisabled)
     EventQueue eq;
     Mesh mesh(cfg, eq);
     Tick t1 = 0, t2 = 0;
-    mesh.send(Packet{0, 3, 72, TrafficClass::data},
-              [&] { t1 = eq.curTick(); });
-    mesh.send(Packet{0, 3, 72, TrafficClass::data},
-              [&] { t2 = eq.curTick(); });
+    eq.schedule(mesh.inject(Packet{0, 3, 72, TrafficClass::data}),
+                [&] { t1 = eq.curTick(); });
+    eq.schedule(mesh.inject(Packet{0, 3, 72, TrafficClass::data}),
+                [&] { t2 = eq.curTick(); });
     eq.run();
     EXPECT_EQ(t1, t2); // No queueing in the zero-load model.
 }
@@ -120,7 +120,7 @@ TEST(MeshLatencySample, RecordsLatencies)
     Config cfg;
     EventQueue eq;
     Mesh mesh(cfg, eq);
-    mesh.send(Packet{0, 15, 8, TrafficClass::request}, [] {});
+    eq.schedule(mesh.inject(Packet{0, 15, 8, TrafficClass::request}), [] {});
     eq.run();
     EXPECT_EQ(mesh.stats().packetLatency.count(), 1u);
     EXPECT_GT(mesh.stats().packetLatency.mean(), 0.0);
@@ -137,7 +137,8 @@ busyLinks(const Config &cfg, CoreId src, CoreId dst)
 {
     EventQueue eq;
     Mesh mesh(cfg, eq);
-    mesh.send(Packet{src, dst, 8, TrafficClass::request}, [] {});
+    eq.schedule(mesh.inject(Packet{src, dst, 8, TrafficClass::request}),
+                [] {});
     eq.run();
     Links busy;
     for (std::size_t i = 0; i < mesh.linkBusyTicks().size(); ++i)
@@ -233,8 +234,8 @@ TEST(MeshRectangular, RoutesAndHomesStayInRange)
     // Contention routing reserves every hop's link; an idle mesh
     // must agree with the zero-load latency.
     Tick delivered = 0;
-    mesh.send(Packet{0, 7, 8, TrafficClass::request},
-              [&] { delivered = eq.curTick(); });
+    eq.schedule(mesh.inject(Packet{0, 7, 8, TrafficClass::request}),
+                [&] { delivered = eq.curTick(); });
     eq.run();
     EXPECT_EQ(delivered, mesh.zeroLoadLatency(4, 8));
 
@@ -255,8 +256,8 @@ TEST(MeshRectangular, TallMeshDelivers)
     Mesh mesh(cfg, eq);
     EXPECT_EQ(mesh.hops(0, 15), 8u); // (0,0) -> (1,7).
     Tick delivered = 0;
-    mesh.send(Packet{15, 0, 72, TrafficClass::data},
-              [&] { delivered = eq.curTick(); });
+    eq.schedule(mesh.inject(Packet{15, 0, 72, TrafficClass::data}),
+                [&] { delivered = eq.curTick(); });
     eq.run();
     EXPECT_EQ(delivered, mesh.zeroLoadLatency(8, 72));
 }
