@@ -182,8 +182,7 @@ SweepRunner::run(const std::vector<SweepJob> &jobs) const
     // When the sweep's jobs write telemetry, leave one aggregate
     // manifest beside the per-job sidecars.
     for (const SweepJob &job : jobs) {
-        if (job.config.telemetry.enabled() &&
-            job.config.telemetry.emitManifest) {
+        if (job.config.telemetry.enabled()) {
             writeSweepManifest(job.config.telemetry.dir, jobs,
                                wall_ms, n_workers, total_ms);
             break;

@@ -1,11 +1,8 @@
 /**
  * @file
- * Lightweight statistics primitives.
- *
- * Counters and distributions register themselves with an owning
- * StatGroup so that subsystems can be dumped uniformly. Statistics are
- * plain value types; reading them directly (e.g. from benches) is the
- * expected usage, the group dump is a convenience.
+ * Lightweight statistics primitives: plain value types that
+ * subsystems own and benches, telemetry and the result codec read
+ * directly.
  */
 
 #ifndef SPP_COMMON_STATS_HH
@@ -13,12 +10,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
-#include <vector>
-
-#include "common/types.hh"
 
 namespace spp {
 
@@ -112,65 +103,6 @@ class Average
     std::uint64_t count_ = 0;
     double max_ = 0;
     double min_ = 0;
-};
-
-/** Fixed-bucket histogram over [0, buckets * bucket_width). */
-class Distribution
-{
-  public:
-    Distribution(unsigned buckets, double bucket_width)
-        : counts_(buckets, 0), width_(bucket_width)
-    {}
-
-    void
-    sample(double v)
-    {
-        avg_.sample(v);
-        auto idx = static_cast<std::size_t>(v / width_);
-        if (idx >= counts_.size())
-            idx = counts_.size() - 1;
-        ++counts_[idx];
-    }
-
-    const std::vector<std::uint64_t> &counts() const { return counts_; }
-    const Average &summary() const { return avg_; }
-    double bucketWidth() const { return width_; }
-
-  private:
-    std::vector<std::uint64_t> counts_;
-    Average avg_;
-    double width_;
-};
-
-/**
- * A named collection of statistics, dumped as "name value" lines.
- * Groups do not own the registered stats; lifetime is the caller's
- * responsibility (stats normally live in the same object as the
- * group).
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    void regCounter(const std::string &name, const Counter &c);
-    void regAverage(const std::string &name, const Average &a);
-
-    /**
-     * Write "group.name value" lines to @p os, sorted by statistic
-     * name (counters first, then averages). The ordering is
-     * independent of registration order, so consumers that key on
-     * line position — telemetry CSV headers, diff-based regression
-     * scripts — stay stable across translation-unit reorderings.
-     */
-    void dump(std::ostream &os) const;
-
-    const std::string &name() const { return name_; }
-
-  private:
-    std::string name_;
-    std::vector<std::pair<std::string, const Counter *>> counters_;
-    std::vector<std::pair<std::string, const Average *>> averages_;
 };
 
 } // namespace spp

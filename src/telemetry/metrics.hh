@@ -8,8 +8,8 @@
  * *gauge* (an instantaneous level computed on demand, e.g. the
  * number of outstanding line locks). Cumulative metrics are sampled
  * by snapshot — never by Counter::reset()/exchange() — so the
- * end-of-run aggregates the StatGroup/report machinery prints remain
- * intact and the final sampler row reconciles with them exactly.
+ * end-of-run aggregates the reports print remain intact and the
+ * final sampler row reconciles with them exactly.
  *
  * Registered pointers are borrowed: the owning subsystem must
  * outlive the sampler (they do — both live inside one experiment

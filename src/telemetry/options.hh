@@ -8,7 +8,6 @@
 #ifndef SPP_TELEMETRY_OPTIONS_HH
 #define SPP_TELEMETRY_OPTIONS_HH
 
-#include <cstddef>
 #include <string>
 
 #include "common/types.hh"
@@ -23,14 +22,6 @@ struct TelemetryOptions
 
     /** Sampling cadence of the time-series, in ticks. */
     Tick samplePeriod = 5000;
-
-    bool emitSeries = true;     ///< <label>.series.csv
-    bool emitSeriesJson = false;///< <label>.series.json (opt-in).
-    bool emitTrace = true;      ///< <label>.trace.json (Perfetto).
-    bool emitManifest = true;   ///< <label>.manifest.json
-
-    /** Chrome-trace event cap; drops are counted, not silent. */
-    std::size_t maxTraceEvents = 1u << 20;
 
     bool enabled() const { return !dir.empty(); }
 

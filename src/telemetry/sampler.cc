@@ -3,6 +3,7 @@
 #include <ostream>
 
 #include "common/logging.hh"
+#include "telemetry/json.hh"
 
 namespace spp {
 
@@ -81,27 +82,6 @@ Sampler::writeCsv(std::ostream &os) const
         }
         os << '\n';
     }
-}
-
-Json
-Sampler::toJson() const
-{
-    Json doc = Json::object();
-    doc["period"] = Json(period_);
-    Json names = Json::array();
-    for (std::size_t i = 0; i < reg_.size(); ++i)
-        names.push(Json(reg_.name(i)));
-    doc["metrics"] = std::move(names);
-    Json rows = Json::array();
-    for (const Row &row : rows_) {
-        Json r = Json::array();
-        r.push(Json(row.tick));
-        for (double v : row.values)
-            r.push(Json(v));
-        rows.push(std::move(r));
-    }
-    doc["rows"] = std::move(rows);
-    return doc;
 }
 
 } // namespace spp

@@ -25,7 +25,6 @@
 
 #include "common/types.hh"
 #include "event/event_queue.hh"
-#include "telemetry/json.hh"
 #include "telemetry/metrics.hh"
 
 namespace spp {
@@ -68,9 +67,6 @@ class Sampler : public EventQueue::TickObserver
 
     /** "tick,metric,..." header plus one line per row. */
     void writeCsv(std::ostream &os) const;
-
-    /** {"period": N, "metrics": [names], "rows": [[tick, v...]]} */
-    Json toJson() const;
 
   private:
     void sample(Tick t);

@@ -293,36 +293,32 @@ RunTelemetry::attach(CmpSystem &sys)
 
     registerMetrics(sys);
 
-    if (opts_.emitTrace) {
-        trace_ = std::make_unique<ChromeTraceWriter>(
-            opts_.maxTraceEvents);
-        trace_->setProcessName(label_);
-        for (unsigned c = 0; c < sys.config().numCores; ++c)
-            trace_->setThreadName(c, strfmt("core {}", c));
+    trace_ = std::make_unique<ChromeTraceWriter>();
+    trace_->setProcessName(label_);
+    for (unsigned c = 0; c < sys.config().numCores; ++c)
+        trace_->setThreadName(c, strfmt("core {}", c));
 
-        epochs_ = std::make_unique<EpochRecorder>();
-        epochs_->trace = trace_.get();
-        epochs_->eq = &sys.eventQueue();
-        epochs_->annotator = &epoch_annotator_;
-        epochs_->open.resize(sys.config().numCores);
-        sys.syncManager().addListener(epochs_.get());
+    epochs_ = std::make_unique<EpochRecorder>();
+    epochs_->trace = trace_.get();
+    epochs_->eq = &sys.eventQueue();
+    epochs_->annotator = &epoch_annotator_;
+    epochs_->open.resize(sys.config().numCores);
+    sys.syncManager().addListener(epochs_.get());
 
-        // Miss instants ride the access-observer chain so an
-        // existing observer (CommTrace, tests) keeps working.
-        ChromeTraceWriter *trace = trace_.get();
-        auto prev = sys.accessObserver();
-        sys.setAccessObserver(
-            [trace, prev](CoreId core, Addr addr, Pc pc,
-                          const AccessOutcome &out) {
-                if (prev)
-                    prev(core, addr, pc, out);
-                if (!out.miss())
-                    return;
-                trace->instant(out.communicating ? "comm miss"
-                                                 : "miss",
-                               "mem", core, out.completeTick);
-            });
-    }
+    // Miss instants ride the access-observer chain so an existing
+    // observer (CommTrace, tests) keeps working.
+    ChromeTraceWriter *trace = trace_.get();
+    auto prev = sys.accessObserver();
+    sys.setAccessObserver(
+        [trace, prev](CoreId core, Addr addr, Pc pc,
+                      const AccessOutcome &out) {
+            if (prev)
+                prev(core, addr, pc, out);
+            if (!out.miss())
+                return;
+            trace->instant(out.communicating ? "comm miss" : "miss",
+                           "mem", core, out.completeTick);
+        });
 
     const Config &cfg = sys.config();
     Json jcfg = Json::object();
@@ -369,69 +365,49 @@ RunTelemetry::finish(const RunResult &result)
 
     sampler_->finalize();
     const Tick end = sys_->eventQueue().curTick();
-    if (epochs_) {
-        for (CoreId c = 0; c < epochs_->open.size(); ++c)
-            epochs_->closeEpoch(c, end);
-    }
-    if (trace_)
-        emitCounterTracks();
+    for (CoreId c = 0; c < epochs_->open.size(); ++c)
+        epochs_->closeEpoch(c, end);
+    emitCounterTracks();
 
     manifest_.endPhase();
 
-    if (opts_.emitSeries) {
+    {
         std::ofstream os(seriesPath());
         if (!os)
             SPP_FATAL("cannot write '{}'", seriesPath());
         sampler_->writeCsv(os);
     }
-    if (opts_.emitSeriesJson) {
-        std::ofstream os(seriesJsonPath());
-        if (!os)
-            SPP_FATAL("cannot write '{}'", seriesJsonPath());
-        sampler_->toJson().write(os, 0);
-        os << '\n';
-    }
-    if (trace_) {
+    {
         std::ofstream os(tracePath());
         if (!os)
             SPP_FATAL("cannot write '{}'", tracePath());
         trace_->write(os);
     }
 
-    if (opts_.emitManifest) {
-        Json summary = Json::object();
-        summary["ticks"] = Json(result.ticks);
-        summary["events"] = Json(result.eventsExecuted);
-        summary["accesses"] = Json(result.mem.accesses.value());
-        summary["misses"] = Json(result.mem.misses.value());
-        summary["comm_misses"] =
-            Json(result.mem.communicatingMisses.value());
-        summary["pred_sufficient"] =
-            Json(result.mem.predictionsSufficient.value());
-        summary["noc_bytes"] = Json(result.noc.flitBytes.value());
-        summary["sync_points"] = Json(result.sync.syncPoints.value());
-        manifest_.set("result", std::move(summary));
+    Json summary = Json::object();
+    summary["ticks"] = Json(result.ticks);
+    summary["events"] = Json(result.eventsExecuted);
+    summary["accesses"] = Json(result.mem.accesses.value());
+    summary["misses"] = Json(result.mem.misses.value());
+    summary["comm_misses"] =
+        Json(result.mem.communicatingMisses.value());
+    summary["pred_sufficient"] =
+        Json(result.mem.predictionsSufficient.value());
+    summary["noc_bytes"] = Json(result.noc.flitBytes.value());
+    summary["sync_points"] = Json(result.sync.syncPoints.value());
+    manifest_.set("result", std::move(summary));
 
-        Json files = Json::object();
-        if (opts_.emitSeries)
-            files["series"] = Json(label_ + ".series.csv");
-        if (trace_)
-            files["trace"] = Json(label_ + ".trace.json");
-        files["samples"] = Json(sampler_->rows().size());
-        if (trace_) {
-            files["trace_events"] = Json(trace_->events());
-            files["trace_dropped"] = Json(trace_->dropped());
-            if (epochs_) {
-                files["epochs"] = Json(epochs_->epochsClosed);
-                if (epochs_->attrTracksDropped > 0) {
-                    files["attr_tracks_dropped"] =
-                        Json(epochs_->attrTracksDropped);
-                }
-            }
-        }
-        manifest_.set("telemetry", std::move(files));
-        manifest_.write(manifestPath());
-    }
+    Json files = Json::object();
+    files["series"] = Json(label_ + ".series.csv");
+    files["trace"] = Json(label_ + ".trace.json");
+    files["samples"] = Json(sampler_->rows().size());
+    files["trace_events"] = Json(trace_->events());
+    files["trace_dropped"] = Json(trace_->dropped());
+    files["epochs"] = Json(epochs_->epochsClosed);
+    if (epochs_->attrTracksDropped > 0)
+        files["attr_tracks_dropped"] = Json(epochs_->attrTracksDropped);
+    manifest_.set("telemetry", std::move(files));
+    manifest_.write(manifestPath());
 }
 
 } // namespace spp

@@ -13,7 +13,6 @@
  * counter tracks, and writes every sidecar file:
  *
  *   <dir>/<label>.series.csv      time-series of sampled metrics
- *   <dir>/<label>.series.json     same, as JSON (opt-in)
  *   <dir>/<label>.trace.json      chrome://tracing / Perfetto
  *   <dir>/<label>.manifest.json   config hash, git, phases, summary
  *
@@ -89,10 +88,6 @@ class RunTelemetry
     const ChromeTraceWriter *trace() const { return trace_.get(); }
 
     std::string seriesPath() const { return base() + ".series.csv"; }
-    std::string seriesJsonPath() const
-    {
-        return base() + ".series.json";
-    }
     std::string tracePath() const { return base() + ".trace.json"; }
     std::string manifestPath() const
     {

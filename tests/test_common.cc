@@ -156,72 +156,6 @@ TEST(Stats, Average)
     EXPECT_DOUBLE_EQ(a.min(), 2.0);
 }
 
-TEST(Stats, Distribution)
-{
-    Distribution d(4, 10.0);
-    d.sample(5);
-    d.sample(15);
-    d.sample(100); // Clamps into the last bucket.
-    EXPECT_EQ(d.counts()[0], 1u);
-    EXPECT_EQ(d.counts()[1], 1u);
-    EXPECT_EQ(d.counts()[3], 1u);
-    EXPECT_EQ(d.summary().count(), 3u);
-}
-
-TEST(Stats, GroupDump)
-{
-    StatGroup g("grp");
-    Counter c;
-    c += 3;
-    Average a;
-    a.sample(2.0);
-    g.regCounter("hits", c);
-    g.regAverage("lat", a);
-    std::ostringstream os;
-    g.dump(os);
-    const std::string s = os.str();
-    EXPECT_NE(s.find("grp.hits 3"), std::string::npos);
-    EXPECT_NE(s.find("grp.lat.mean 2"), std::string::npos);
-}
-
-TEST(Stats, GroupDumpIsSortedByName)
-{
-    StatGroup g("grp");
-    Counter c1, c2;
-    Average a1, a2;
-    // Register out of order: the dump must not depend on it.
-    g.regCounter("zeta", c1);
-    g.regCounter("alpha", c2);
-    g.regAverage("omega", a1);
-    g.regAverage("beta", a2);
-    std::ostringstream os;
-    g.dump(os);
-    const std::string s = os.str();
-    // Counters first (sorted), then averages (sorted).
-    const auto alpha = s.find("grp.alpha");
-    const auto zeta = s.find("grp.zeta");
-    const auto beta = s.find("grp.beta");
-    const auto omega = s.find("grp.omega");
-    ASSERT_NE(alpha, std::string::npos);
-    ASSERT_NE(zeta, std::string::npos);
-    ASSERT_NE(beta, std::string::npos);
-    ASSERT_NE(omega, std::string::npos);
-    EXPECT_LT(alpha, zeta);
-    EXPECT_LT(zeta, beta);
-    EXPECT_LT(beta, omega);
-
-    // Identical registration sets dump identically regardless of
-    // registration order.
-    StatGroup g2("grp");
-    g2.regAverage("beta", a2);
-    g2.regAverage("omega", a1);
-    g2.regCounter("alpha", c2);
-    g2.regCounter("zeta", c1);
-    std::ostringstream os2;
-    g2.dump(os2);
-    EXPECT_EQ(s, os2.str());
-}
-
 // --- Config ---
 
 TEST(Config, DefaultsValidate)

@@ -110,7 +110,6 @@ telemetryConfig(const std::string &dir, Tick period = 200)
     cfg.scale = 0.3;
     cfg.telemetry.dir = dir;
     cfg.telemetry.samplePeriod = period;
-    cfg.telemetry.emitSeriesJson = true;
     return cfg;
 }
 
@@ -301,11 +300,6 @@ TEST(Sampler, DeltaAndGauges)
     ASSERT_EQ(csv.rows.size(), 4u);
     EXPECT_EQ(csv.rows[2][0], 20.0);
     EXPECT_EQ(csv.rows[2][1], 6.0);
-
-    const Json j = s.toJson();
-    ASSERT_TRUE(j.find("rows") != nullptr);
-    EXPECT_EQ(j.find("rows")->size(), 4u);
-    EXPECT_EQ(j.find("period")->asNumber(), 10.0);
 }
 
 // ---------------------------------------------------------------------
@@ -590,11 +584,6 @@ TEST(Telemetry, SeriesReconcilesWithAggregates)
     for (std::size_t r = 1; r < csv.rows.size(); ++r)
         EXPECT_GE(csv.rows[r][misses_col],
                   csv.rows[r - 1][misses_col]);
-
-    // The JSON form mirrors the CSV.
-    const auto sj = Json::parse(slurp(dir + "/fft.series.json"));
-    ASSERT_TRUE(sj.has_value());
-    EXPECT_EQ(sj->find("rows")->size(), csv.rows.size());
     fs::remove_all(dir);
 }
 
@@ -665,8 +654,7 @@ TEST(Telemetry, SweepWritesPerJobSidecarsAndAggregateManifest)
 {
     QuietScope quiet;
     const std::string dir = scratchDir("sweep");
-    ExperimentConfig cfg = telemetryConfig(dir);
-    cfg.telemetry.emitSeriesJson = false;
+    const ExperimentConfig cfg = telemetryConfig(dir);
     // Two jobs with the same workload: labels must not collide.
     const std::vector<SweepJob> jobs = {
         {"fft", cfg, ""},
