@@ -28,7 +28,10 @@
  * Traces: pass --replay FILE (or SPP_TRACE_REPLAY=FILE) to drive
  * every job from one `.spptrace` file instead of the workload
  * generators. trace_tool records such a file from a workload or
- * imports one from mcsim.
+ * imports one from mcsim. A file holds one program, so only a driver
+ * whose sweep runs a single workload replays (fig02, for one); a
+ * sweep over several workloads exits 1 rather than print the file's
+ * result under each workload's name.
  *
  * Results: pass --result-store DIR (or SPP_RESULT_STORE=DIR) to back
  * the sweep with a content-addressed result cache: cells whose
@@ -264,10 +267,21 @@ initBench(int argc, char **argv,
 
 /** Run a job list on the configured worker count. With a result
  * store the cumulative store traffic prints to stderr afterwards —
- * stdout stays byte-identical to an uncached run. */
+ * stdout stays byte-identical to an uncached run. A replayed job
+ * list must name one workload: every job runs the same file. */
 inline std::vector<ExperimentResult>
 sweep(const std::vector<SweepJob> &jobs)
 {
+    for (const SweepJob &j : jobs) {
+        if (!j.config.replayTrace.empty() &&
+            j.workload != jobs.front().workload)
+            SPP_FATAL("--replay/SPP_TRACE_REPLAY runs every job from "
+                      "{}, but this sweep spans workloads {} and {}; "
+                      "replay with a single-workload driver or "
+                      "trace_tool replay",
+                      j.config.replayTrace, jobs.front().workload,
+                      j.workload);
+    }
     std::vector<ExperimentResult> results = runSweep(jobs, g_jobs);
     if (g_result_store.enabled()) {
         const ResultStoreStats &s = resultStoreStats();

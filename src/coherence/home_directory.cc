@@ -1,25 +1,67 @@
 #include "coherence/home_directory.hh"
 
 #include <algorithm>
+#include <utility>
 
 namespace spp {
+
+namespace {
+
+/** Initial table size: a power of two, grown by doubling. */
+constexpr std::size_t initialSlots = 1024;
+
+/** Sharer words per entry: a bit per core, or per coarse group. */
+unsigned
+sharerWords(const Config &cfg)
+{
+    const std::size_t bits = cfg.sharerFormat == SharerFormat::coarse
+        ? cfg.sharerEntryBits()
+        : cfg.numCores;
+    return static_cast<unsigned>((bits + CoreSet::wordBits - 1) /
+                                 CoreSet::wordBits);
+}
+
+} // namespace
 
 HomeDirectory::HomeDirectory(const Config &cfg)
     : format_(cfg.sharerFormat), n_cores_(cfg.numCores),
       k_(cfg.coarseCoresPerBit), p_(cfg.sharerPointers),
-      f_state_(cfg.enableFState)
+      f_state_(cfg.enableFState), words_(sharerWords(cfg)),
+      slots_(initialSlots), bits_(initialSlots * words_)
 {
+}
+
+bool
+HomeDirectory::testBit(const Entry &e, CoreId bit) const
+{
+    return (bitsOf(e)[bit / CoreSet::wordBits] &
+            (Word{1} << (bit % CoreSet::wordBits))) != 0;
+}
+
+void
+HomeDirectory::setBit(Entry &e, CoreId bit)
+{
+    bitsOf(e)[bit / CoreSet::wordBits] |=
+        Word{1} << (bit % CoreSet::wordBits);
+}
+
+void
+HomeDirectory::resetBit(Entry &e, CoreId bit)
+{
+    bitsOf(e)[bit / CoreSet::wordBits] &=
+        ~(Word{1} << (bit % CoreSet::wordBits));
 }
 
 CoreSet
 HomeDirectory::sharers(const Entry &e) const
 {
+    const CoreSet bits = CoreSet::fromWords(bitsOf(e), words_);
     switch (format_) {
       case SharerFormat::full:
-        return e.bits;
+        return bits;
       case SharerFormat::coarse: {
         CoreSet s;
-        for (CoreId g : e.bits) {
+        for (CoreId g : bits) {
             const unsigned lo = g * k_;
             const unsigned hi = std::min(lo + k_, n_cores_);
             for (unsigned c = lo; c < hi; ++c)
@@ -28,7 +70,7 @@ HomeDirectory::sharers(const Entry &e) const
         return s;
       }
       case SharerFormat::limited:
-        return e.overflow ? CoreSet::all(n_cores_) : e.bits;
+        return e.overflow ? CoreSet::all(n_cores_) : bits;
     }
     return {};
 }
@@ -38,11 +80,11 @@ HomeDirectory::mayShare(const Entry &e, CoreId c) const
 {
     switch (format_) {
       case SharerFormat::full:
-        return e.bits.test(c);
+        return testBit(e, c);
       case SharerFormat::coarse:
-        return e.bits.test(group(c));
+        return testBit(e, group(c));
       case SharerFormat::limited:
-        return e.overflow || e.bits.test(c);
+        return e.overflow || testBit(e, c);
     }
     return false;
 }
@@ -52,15 +94,15 @@ HomeDirectory::readFromOwner(Entry &e, CoreId reader)
 {
     switch (format_) {
       case SharerFormat::full:
-        e.bits.set(reader);
+        setBit(e, reader);
         break;
       case SharerFormat::coarse:
-        e.bits.set(group(reader));
+        setBit(e, group(reader));
         break;
       case SharerFormat::limited:
-        if (!e.overflow && !e.bits.test(reader)) {
-            if (e.bits.count() < p_)
-                e.bits.set(reader);
+        if (!e.overflow && !testBit(e, reader)) {
+            if (CoreSet::fromWords(bitsOf(e), words_).count() < p_)
+                setBit(e, reader);
             else
                 e.overflow = true; // Past P sharers: broadcast.
         }
@@ -88,35 +130,53 @@ HomeDirectory::readFromMemory(Entry &e, CoreId reader)
 void
 HomeDirectory::write(Entry &e, CoreId writer)
 {
-    e.bits.clear();
+    std::fill_n(bitsOf(e), words_, Word{0});
     e.overflow = false;
-    e.bits.set(format_ == SharerFormat::coarse ? group(writer) : writer);
+    setBit(e, format_ == SharerFormat::coarse ? group(writer) : writer);
     e.owner = writer;
 }
 
 void
 HomeDirectory::writeback(Addr line, CoreId core)
 {
-    auto it = entries_.find(line);
-    if (it == entries_.end())
+    Entry &e = slots_[slotOf(line)];
+    if (e.line != line)
         return;
-    Entry &e = it->second;
     // Coarse group bits and overflowed limited entries keep their
     // conservative superset (it must never under-approximate).
     if (format_ == SharerFormat::full ||
         (format_ == SharerFormat::limited && !e.overflow))
-        e.bits.reset(core);
+        resetBit(e, core);
     if (e.owner == core)
         e.owner = invalidCore;
 }
 
 void
+HomeDirectory::grow()
+{
+    const std::size_t n = slots_.size() * 2;
+    const std::vector<Entry> old_slots =
+        std::exchange(slots_, std::vector<Entry>(n));
+    const std::vector<Word> old_bits =
+        std::exchange(bits_, std::vector<Word>(n * words_));
+    for (std::size_t j = 0; j < old_slots.size(); ++j) {
+        if (old_slots[j].line == noLine)
+            continue;
+        const std::size_t i = slotOf(old_slots[j].line);
+        slots_[i] = old_slots[j];
+        std::copy_n(old_bits.data() + j * words_, words_,
+                    bits_.data() + i * words_);
+    }
+}
+
+void
 HomeDirectory::hashInto(StateHasher &h) const
 {
-    // lint: allow(unordered-iter) — commutative fold.
-    for (const auto &[line, e] : entries_) {
+    for (const Entry &e : slots_) {
+        if (e.line == noLine)
+            continue;
         StateHasher sub;
-        sub.mix(line);
+        sub.mix(e.line);
         sub.mix(e.owner);
         sub.mix(e.overflow);
         for (CoreId c : sharers(e))

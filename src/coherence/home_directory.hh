@@ -33,12 +33,21 @@
  * correctness. Engines change entries only through the three MESIF
  * transitions and writeback(), so the F-state ownership rule lives
  * here alone.
+ *
+ * Storage is one flat open-addressing table (linear probing, buckets
+ * picked by splitmix64) that grows by doubling and never erases: a
+ * line's entry lives from its first miss to the end of the run. Each
+ * 16-byte slot holds the line, the owner and the overflow flag; a
+ * parallel array holds each slot's sharer bits at the machine's
+ * width, ceil(n/64) words for full and limited and ceil(ceil(n/K)/64)
+ * for coarse, so a 16-core entry costs 24 bytes.
  */
 
 #ifndef SPP_COHERENCE_HOME_DIRECTORY_HH
 #define SPP_COHERENCE_HOME_DIRECTORY_HH
 
-#include <unordered_map>
+#include <cstddef>
+#include <vector>
 
 #include "common/config.hh"
 #include "common/core_set.hh"
@@ -52,19 +61,40 @@ namespace spp {
 class HomeDirectory
 {
   public:
-    /** One line's directory state. */
+    /** The line of an empty slot; line addresses never reach it. */
+    static constexpr Addr noLine = ~Addr{0};
+
+    /** One line's directory state, less its sharer bits (full: the
+     * sharers; coarse: group bits; limited: pointers), which the
+     * directory keeps beside it. */
     struct Entry
     {
-        /** full: the sharers; coarse: group bits; limited: pointers. */
-        CoreSet bits;
-        bool overflow = false;      ///< limited: more than P sharers.
+        Addr line = noLine;         ///< Set by at(); read-only.
         CoreId owner = invalidCore; ///< E/M/F holder, if any.
+        bool overflow = false;      ///< limited: more than P sharers.
     };
 
     explicit HomeDirectory(const Config &cfg);
 
-    /** The entry of @p line, created empty on first use. */
-    Entry &at(Addr line) { return entries_[line]; }
+    /**
+     * The entry of @p line, created empty on first use. The reference
+     * stays valid until the next at() that inserts a line: growth
+     * moves every entry.
+     */
+    Entry &
+    at(Addr line)
+    {
+        std::size_t i = slotOf(line);
+        if (slots_[i].line != line) {
+            if ((size_ + 1) * 4 > slots_.size() * 3) {
+                grow();
+                i = slotOf(line);
+            }
+            slots_[i].line = line;
+            ++size_;
+        }
+        return slots_[i];
+    }
 
     /** Conservative superset of @p e's sharers, clipped to n. */
     CoreSet sharers(const Entry &e) const;
@@ -126,24 +156,62 @@ class HomeDirectory
     void check(const Held &held) const;
 
   private:
+    using Word = CoreSet::Word;
+
     CoreId group(CoreId c) const { return static_cast<CoreId>(c / k_); }
+
+    /** The slot holding @p line, else the empty slot it would take. */
+    std::size_t
+    slotOf(Addr line) const
+    {
+        const std::size_t mask = slots_.size() - 1;
+        std::size_t i = splitmix64(line) & mask;
+        while (slots_[i].line != line && slots_[i].line != noLine)
+            i = (i + 1) & mask;
+        return i;
+    }
+
+    /** The sharer words of @p e, which must be one of slots_. */
+    Word *
+    bitsOf(const Entry &e)
+    {
+        return bits_.data() +
+            static_cast<std::size_t>(&e - slots_.data()) * words_;
+    }
+    const Word *
+    bitsOf(const Entry &e) const
+    {
+        return const_cast<HomeDirectory *>(this)->bitsOf(e);
+    }
+
+    bool testBit(const Entry &e, CoreId bit) const;
+    void setBit(Entry &e, CoreId bit);
+    void resetBit(Entry &e, CoreId bit);
+
+    /** Double the table and re-place every entry. */
+    void grow();
 
     SharerFormat format_;
     unsigned n_cores_;
     unsigned k_; ///< Cores per coarse bit.
     unsigned p_; ///< Limited-format pointers.
     bool f_state_;
-    /** Warm-up-only growth: lines are never removed, so the node
-     * churn PooledMap avoids does not occur here. */
-    std::unordered_map<Addr, Entry> entries_;
+    unsigned words_; ///< Sharer words per entry.
+    std::size_t size_ = 0; ///< Lines with an entry.
+    /** Power-of-two table; lines are never removed. */
+    std::vector<Entry> slots_;
+    /** words_ sharer words per slot, in slot order. */
+    std::vector<Word> bits_;
 };
 
 template <class Held>
 void
 HomeDirectory::check(const Held &held) const
 {
-    // lint: allow(unordered-iter) — order-independent assertion scan.
-    for (const auto &[line, e] : entries_) {
+    for (const Entry &e : slots_) {
+        if (e.line == noLine)
+            continue;
+        const Addr line = e.line;
         if (e.owner != invalidCore) {
             SPP_ASSERT(mayShare(e, e.owner),
                        "owner {} of line {} not in sharer set", e.owner,

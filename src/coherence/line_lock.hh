@@ -26,11 +26,11 @@
 #define SPP_COHERENCE_LINE_LOCK_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/hash.hh"
 #include "common/logging.hh"
+#include "common/pool.hh"
 #include "common/types.hh"
 #include "event/event_queue.hh"
 
@@ -46,7 +46,10 @@ struct TxnKey
 };
 
 /**
- * Home-side per-line lock table with a FIFO wait queue.
+ * Home-side per-line lock table with a FIFO wait queue. Entries live
+ * in a PooledMap: a lock taken and released on every miss reuses a
+ * pool slot, and the slot keeps its wait queue's capacity, so the
+ * miss path allocates nothing once the table has warmed up.
  */
 class LineLockTable
 {
@@ -66,8 +69,8 @@ class LineLockTable
     bool
     isLockedByOther(Addr line, const TxnKey &key) const
     {
-        auto it = locks_.find(line);
-        return it != locks_.end() && !(it->second.holder == key);
+        const Entry *e = locks_.find(line);
+        return e != nullptr && !(e->holder == key);
     }
 
     /**
@@ -81,11 +84,10 @@ class LineLockTable
     bool
     acquireOrQueue(Addr line, const TxnKey &key, Continuation waiter)
     {
-        auto [it, inserted] = locks_.try_emplace(line, Entry{key, {}});
-        if (inserted || it->second.holder == key)
+        Entry &e = findOrLock(line, key);
+        if (e.holder == key)
             return true;
-        it->second.waiters.push_back(
-            Waiter{key, std::move(waiter)});
+        e.waiters.push_back(Waiter{key, std::move(waiter)});
         return false;
     }
 
@@ -96,8 +98,7 @@ class LineLockTable
     bool
     tryAcquire(Addr line, const TxnKey &key)
     {
-        auto [it, inserted] = locks_.try_emplace(line, Entry{key, {}});
-        return inserted || it->second.holder == key;
+        return findOrLock(line, key).holder == key;
     }
 
     /**
@@ -109,23 +110,22 @@ class LineLockTable
     void
     release(Addr line, const TxnKey &key)
     {
-        auto it = locks_.find(line);
-        SPP_ASSERT(it != locks_.end() && it->second.holder == key,
+        Entry *e = locks_.find(line);
+        SPP_ASSERT(e != nullptr && e->holder == key,
                    "release of line {} not held by core {} txn {}",
                    line, key.requester, key.txn);
-        Entry &e = it->second;
-        if (!e.hasWaiters()) {
-            locks_.erase(it);
+        if (!e->hasWaiters()) {
+            locks_.erase(line);
             return;
         }
-        Waiter next = std::move(e.waiters[e.head]);
-        if (++e.head == e.waiters.size()) {
+        Waiter next = std::move(e->waiters[e->head]);
+        if (++e->head == e->waiters.size()) {
             // Drained: keep the vector's capacity for the next
             // contention burst on this line.
-            e.waiters.clear();
-            e.head = 0;
+            e->waiters.clear();
+            e->head = 0;
         }
-        e.holder = next.key;
+        e->holder = next.key;
         next.resume();
     }
 
@@ -141,8 +141,7 @@ class LineLockTable
     void
     hashInto(StateHasher &h) const
     {
-        // lint: allow(unordered-iter) — commutative fold.
-        for (const auto &[line, e] : locks_) {
+        locks_.forEach([&h](Addr line, const Entry &e) {
             StateHasher sub;
             sub.mix(line);
             sub.mix(e.holder.requester);
@@ -152,7 +151,7 @@ class LineLockTable
                 sub.mix(e.waiters[i].key.txn);
             }
             h.mixUnordered(sub.value());
-        }
+        });
     }
 
     /** Describe all held locks (deadlock diagnostics). */
@@ -160,9 +159,9 @@ class LineLockTable
     void
     dump(Out &&emit) const
     {
-        // lint: allow(unordered-iter) — diagnostic dump only.
-        for (const auto &[line, entry] : locks_)
-            emit(line, entry.holder, entry.waiterCount());
+        locks_.forEach([&emit](Addr line, const Entry &e) {
+            emit(line, e.holder, e.waiterCount());
+        });
     }
 
   private:
@@ -185,9 +184,29 @@ class LineLockTable
         {
             return waiters.size() - head;
         }
+
+        /** Pool reset that keeps the wait queue's capacity. */
+        void
+        poolReset()
+        {
+            holder = {};
+            waiters.clear();
+            head = 0;
+        }
     };
 
-    std::unordered_map<Addr, Entry> locks_;
+    /** The entry of @p line, locked for @p key if it was free. */
+    Entry &
+    findOrLock(Addr line, const TxnKey &key)
+    {
+        if (Entry *e = locks_.find(line))
+            return *e;
+        Entry &e = locks_.insert(line);
+        e.holder = key;
+        return e;
+    }
+
+    PooledMap<Entry> locks_;
 };
 
 } // namespace spp

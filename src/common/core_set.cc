@@ -38,7 +38,7 @@ CoreSet::toHex() const
     static const char digits[] = "0123456789abcdef";
     std::string s;
     bool leading = true;
-    for (unsigned w = nWords; w-- > 0;) {
+    for (unsigned w = used_; w-- > 0;) {
         for (unsigned nib = 16; nib-- > 0;) {
             const unsigned d =
                 static_cast<unsigned>(w_[w] >> (nib * 4)) & 0xf;
@@ -59,6 +59,9 @@ CoreSet::fromHex(const std::string &hex)
     SPP_ASSERT(!hex.empty() && hex.size() <= nWords * 16,
                "malformed CoreSet hex string '{}'", hex);
     CoreSet s;
+    s.used_ = static_cast<unsigned>((hex.size() + 15) / 16);
+    for (unsigned w = 0; w < s.used_; ++w)
+        s.w_[w] = 0;
     unsigned nib = 0; // Nibble position from the least significant end.
     for (std::size_t i = hex.size(); i-- > 0; ++nib) {
         const char c = hex[i];

@@ -56,39 +56,45 @@ fnv1a64(std::string_view s, std::uint64_t h = 14695981039346656037ull)
         h);
 }
 
+/**
+ * splitmix64 finalizer: a bijective 64-bit mixer. StateHasher folds
+ * words with it, and the open-addressing tables (PooledMap,
+ * HomeDirectory) pick buckets with it: line addresses and transaction
+ * ids are highly regular, so buckets need real mixing.
+ */
+inline std::uint64_t
+splitmix64(std::uint64_t x)
+{
+    x += 0x9e37'79b9'7f4a'7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58'476d'1ce4'e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d0'49bb'1331'11ebULL;
+    return x ^ (x >> 31);
+}
+
 /** Accumulates a 64-bit digest of a stream of words. */
 class StateHasher
 {
   public:
-    /** splitmix64 finalizer: the bijective mixing step. */
-    static std::uint64_t
-    mix64(std::uint64_t x)
-    {
-        x += 0x9e37'79b9'7f4a'7c15ULL;
-        x = (x ^ (x >> 30)) * 0xbf58'476d'1ce4'e5b9ULL;
-        x = (x ^ (x >> 27)) * 0x94d0'49bb'1331'11ebULL;
-        return x ^ (x >> 31);
-    }
-
     /** Fold @p v order-sensitively. */
     void
     mix(std::uint64_t v)
     {
-        ordered_ = mix64(ordered_ ^ v);
+        ordered_ = splitmix64(ordered_ ^ v);
     }
 
     /** Fold @p v order-insensitively (commutative). */
     void
     mixUnordered(std::uint64_t v)
     {
-        unordered_ += mix64(v);
+        unordered_ += splitmix64(v);
     }
 
     /** The digest of everything folded so far. */
     std::uint64_t
     value() const
     {
-        return mix64(ordered_ ^ (unordered_ * 0x2545'f491'4f6c'dd1dULL));
+        return splitmix64(ordered_ ^
+                          (unordered_ * 0x2545'f491'4f6c'dd1dULL));
     }
 
   private:

@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace spp {
@@ -134,7 +135,7 @@ class PooledMap
         if (size_ == 0)
             return nullptr;
         const std::size_t mask = buckets_.size() - 1;
-        for (std::size_t i = mix(key) & mask;;
+        for (std::size_t i = splitmix64(key) & mask;;
              i = (i + 1) & mask) {
             if (buckets_[i].val == nullptr)
                 return nullptr;
@@ -187,7 +188,7 @@ class PooledMap
         if (size_ == 0)
             return false;
         const std::size_t mask = buckets_.size() - 1;
-        std::size_t i = mix(key) & mask;
+        std::size_t i = splitmix64(key) & mask;
         while (true) {
             if (buckets_[i].val == nullptr)
                 return false;
@@ -201,7 +202,7 @@ class PooledMap
         std::size_t hole = i;
         for (std::size_t j = (i + 1) & mask;
              buckets_[j].val != nullptr; j = (j + 1) & mask) {
-            const std::size_t ideal = mix(buckets_[j].key) & mask;
+            const std::size_t ideal = splitmix64(buckets_[j].key) & mask;
             if (((j - ideal) & mask) >= ((j - hole) & mask)) {
                 buckets_[hole] = buckets_[j];
                 hole = j;
@@ -244,22 +245,11 @@ class PooledMap
         V *val = nullptr;
     };
 
-    /** splitmix64 finalizer: line addresses and txn ids are highly
-     * regular, so buckets need real mixing. */
-    static std::uint64_t
-    mix(std::uint64_t x)
-    {
-        x += 0x9e3779b97f4a7c15ull;
-        x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-        x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-        return x ^ (x >> 31);
-    }
-
     void
     place(Bucket b)
     {
         const std::size_t mask = buckets_.size() - 1;
-        std::size_t i = mix(b.key) & mask;
+        std::size_t i = splitmix64(b.key) & mask;
         while (buckets_[i].val != nullptr)
             i = (i + 1) & mask;
         buckets_[i] = b;

@@ -138,13 +138,66 @@ INSTANTIATE_TEST_SUITE_P(Masks, CoreSetAlgebra,
 // Drive CoreSet and std::bitset through the same random op sequence
 // and demand identical observable state after every step. The sizes
 // straddle the word boundaries where shift bugs live (63/64/65) plus
-// a genuinely multi-word width.
+// genuinely multi-word widths. The sets under test, and the copies
+// the checks make, live in storage pre-filled with random bytes: a
+// set reads only its words in use, so a read past them shows up as a
+// wrong answer rather than as a harmless zero.
 
 #include <bitset>
+#include <new>
 
 #include "common/rng.hh"
 
 namespace {
+
+using Ref = std::bitset<maxCores>;
+
+/** One CoreSet constructed in storage first filled with random
+ * bytes (volatile stores, so the compiler cannot drop them as dead
+ * before the constructor runs). */
+class Dirty
+{
+  public:
+    explicit Dirty(Rng &rng) : set_(new (scribble(rng)) CoreSet) {}
+    Dirty(Rng &rng, const CoreSet &from)
+        : set_(new (scribble(rng)) CoreSet(from))
+    {}
+    Dirty(const Dirty &) = delete;
+    Dirty &operator=(const Dirty &) = delete;
+
+    CoreSet &operator*() { return *set_; }
+    CoreSet *operator->() { return set_; }
+
+  private:
+    unsigned char *
+    scribble(Rng &rng)
+    {
+        volatile unsigned char *p = buf_;
+        for (std::size_t i = 0; i < sizeof(buf_); ++i)
+            p[i] = static_cast<unsigned char>(rng.next());
+        return buf_;
+    }
+
+    alignas(CoreSet) unsigned char buf_[sizeof(CoreSet)];
+    CoreSet *set_;
+};
+
+/** What toHex() must print for @p r over @p n cores. */
+std::string
+refHex(const Ref &r, unsigned n)
+{
+    std::string s;
+    for (unsigned nib = (n + 3) / 4; nib-- > 0;) {
+        unsigned d = 0;
+        for (unsigned b = 0; b < 4; ++b)
+            if (nib * 4 + b < n && r.test(nib * 4 + b))
+                d |= 1u << b;
+        if (s.empty() && d == 0)
+            continue;
+        s.push_back("0123456789abcdef"[d]);
+    }
+    return s.empty() ? "0" : s;
+}
 
 class CoreSetVsBitset : public ::testing::TestWithParam<unsigned>
 {};
@@ -156,59 +209,94 @@ TEST_P(CoreSetVsBitset, RandomOpsMatchReference)
     const unsigned n = GetParam();
     ASSERT_LE(n, maxCores);
     Rng rng(0xC0DE + n);
-    CoreSet a, b;
-    std::bitset<maxCores> ra, rb;
+    Dirty a(rng), b(rng);
+    Ref ra, rb;
 
-    auto check = [&](int step) {
-        ASSERT_EQ(a.count(), ra.count()) << "n=" << n << " step " << step;
+    auto check = [&](CoreSet &s, const Ref &r, int step) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " step " << step);
+        ASSERT_EQ(s.count(), r.count());
+        ASSERT_EQ(s.empty(), r.none());
         for (unsigned c = 0; c < n; ++c)
-            ASSERT_EQ(a.test(c), ra.test(c))
-                << "n=" << n << " step " << step << " bit " << c;
+            ASSERT_EQ(s.test(c), r.test(c)) << "bit " << c;
         // Iteration yields exactly the set bits, ascending.
         CoreId prev = 0;
         unsigned seen = 0;
-        for (CoreId c : a) {
-            ASSERT_TRUE(ra.test(c));
+        for (CoreId c : s) {
+            ASSERT_TRUE(r.test(c));
             if (seen) {
                 ASSERT_LT(prev, c);
+            } else {
+                ASSERT_EQ(s.first(), c);
             }
             prev = c;
             ++seen;
         }
-        ASSERT_EQ(seen, ra.count());
+        ASSERT_EQ(seen, r.count());
+        ASSERT_EQ(s.toHex(), refHex(r, n));
+        // A copy into garbage, and a reparse that uses only the words
+        // the hex needs, equal the original.
+        Dirty copy(rng, s);
+        ASSERT_EQ(*copy, s);
+        ASSERT_EQ(copy->toHex(), s.toHex());
+        ASSERT_EQ(CoreSet::fromHex(s.toHex()), s);
     };
 
     for (int step = 0; step < 3000; ++step) {
         const CoreId c = static_cast<CoreId>(rng.below(n));
-        switch (rng.below(9)) {
-          case 0: a.set(c); ra.set(c); break;
-          case 1: a.reset(c); ra.reset(c); break;
-          case 2: b.set(c); rb.set(c); break;
-          case 3: a |= b; ra |= rb; break;
-          case 4: a &= b; ra &= rb; break;
-          case 5: a = a - b; ra &= ~rb; break;
-          case 6:
-            a = CoreSet::single(c);
+        switch (rng.below(14)) {
+          case 0: a->set(c); ra.set(c); break;
+          case 1: a->reset(c); ra.reset(c); break;
+          case 2: b->set(c); rb.set(c); break;
+          case 3: b->reset(c); rb.reset(c); break;
+          case 4: *a |= *b; ra |= rb; break;
+          case 5: *a &= *b; ra &= rb; break;
+          case 6: *a = *a - *b; ra &= ~rb; break;
+          case 7: *a = *b | *a; ra |= rb; break;
+          case 8: *a = *b & *a; ra &= rb; break;
+          case 9:
+            *a = CoreSet::single(c);
             ra.reset();
             ra.set(c);
             break;
-          case 7:
-            a = CoreSet::all(n);
+          case 10:
+            // Full sets of every width, not only n: word counts vary.
+            *a = CoreSet::all(c + 1);
             ra.reset();
-            for (unsigned i = 0; i < n; ++i)
+            for (unsigned i = 0; i <= c; ++i)
                 ra.set(i);
             break;
-          case 8: a.clear(); ra.reset(); break;
+          case 11: a->clear(); ra.reset(); break;
+          case 12: *b = *a; rb = ra; break;
+          case 13: *b = *b - *a; rb &= ~ra; break;
         }
-        check(step);
+        check(*a, ra, step);
+        check(*b, rb, step);
+        ASSERT_EQ(*a == *b, ra == rb) << "step " << step;
+        ASSERT_EQ(a->contains(*b), (ra & rb) == rb) << "step " << step;
+        ASSERT_EQ(b->contains(*a), (ra & rb) == ra) << "step " << step;
+        ASSERT_EQ(a->intersects(*b), (ra & rb).any()) << "step " << step;
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(WordBoundaries, CoreSetVsBitset,
-                         ::testing::Values(63u, 64u, 65u, 128u),
+                         ::testing::Values(63u, 64u, 65u, 128u, 1024u),
                          [](const auto &info) {
                              return "n" + std::to_string(info.param);
                          });
+
+TEST(CoreSet, EqualAcrossWordCounts)
+{
+    // {3} after adding and removing the last core uses every word,
+    // the fresh {3} one; they are the same set.
+    CoreSet wide{3, maxCores - 1};
+    wide.reset(maxCores - 1);
+    EXPECT_EQ(wide, CoreSet{3});
+    EXPECT_EQ(CoreSet{3}, wide);
+    EXPECT_EQ(wide.toHex(), "8");
+    EXPECT_TRUE(CoreSet{3}.contains(wide));
+    EXPECT_EQ(wide - CoreSet{3}, CoreSet{});
+    EXPECT_NE(wide, CoreSet{});
+}
 
 TEST(CoreSet, AllAtWordBoundaries)
 {

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "check/fuzzer.hh"
 #include "coherence/home_directory.hh"
 #include "common/rng.hh"
@@ -155,6 +157,108 @@ TEST(HomeDirectory, SupersetInvariantUnderRandomOps)
             }
         }
     }
+}
+
+// The table grows by doubling and moves every entry and its sharer
+// words when it does. Insert enough lines for several growths,
+// record each entry right after its transitions, and demand that
+// every one survives: each format at 16, 65, 256 and 1,024 cores,
+// plus coarse vectors whose ceil(n/K) groups just pass a word.
+TEST(HomeDirectory, EntriesSurviveTableGrowth)
+{
+    struct Shape
+    {
+        SharerFormat f;
+        unsigned n;
+        unsigned k;
+    };
+    std::vector<Shape> shapes;
+    for (const SharerFormat f :
+         {SharerFormat::full, SharerFormat::coarse,
+          SharerFormat::limited})
+        for (const unsigned n : {16u, 65u, 256u, 1024u})
+            shapes.push_back({f, n, 4});
+    shapes.push_back({SharerFormat::coarse, 260, 4});  // 65 groups.
+    shapes.push_back({SharerFormat::coarse, 1024, 15}); // 69 groups.
+
+    struct Want
+    {
+        CoreSet sharers;
+        CoreId owner;
+        bool overflow;
+    };
+    constexpr unsigned lines = 20000; // 1,024 slots grow to 32,768.
+    auto line_of = [](unsigned i) { return 0x1000 + Addr{i} * 64; };
+    for (const Shape &sh : shapes) {
+        SCOPED_TRACE(testing::Message() << toString(sh.f) << " n="
+                                        << sh.n << " K=" << sh.k);
+        HomeDirectory d(mkConfig(sh.f, sh.n, sh.k, 2));
+        std::vector<Want> want;
+        for (unsigned i = 0; i < lines; ++i) {
+            const CoreId c1 = i * 7 % sh.n;
+            const CoreId c2 = (i * 13 + 5) % sh.n;
+            const CoreId c3 = (i * 31 + sh.n - 1) % sh.n;
+            HomeDirectory::Entry &e = d.at(line_of(i));
+            d.readFromMemory(e, c1);
+            if (i % 3 != 0)
+                d.readFromOwner(e, c2);
+            if (i % 5 == 0)
+                d.readFromOwner(e, c3); // Overflows P = 2 pointers.
+            if (i % 7 == 0)
+                d.write(e, c3);
+            if (i % 11 == 0)
+                d.writeback(line_of(i), c1);
+            want.push_back({d.sharers(e), e.owner, e.overflow});
+        }
+        for (unsigned i = 0; i < lines; ++i) {
+            const HomeDirectory::Entry &e = d.at(line_of(i));
+            ASSERT_EQ(d.sharers(e), want[i].sharers) << "line " << i;
+            ASSERT_EQ(e.owner, want[i].owner) << "line " << i;
+            ASSERT_EQ(e.overflow, want[i].overflow) << "line " << i;
+        }
+    }
+}
+
+// hashInto folds entries order-insensitively: the same lines inserted
+// in opposite orders, so into different slots after different
+// growths, hash equal; one changed entry changes the hash, and a
+// writeback of a line without an entry creates none.
+TEST(HomeDirectory, HashIgnoresInsertionOrder)
+{
+    constexpr unsigned n = 65;
+    constexpr unsigned lines = 3000;
+    auto line_of = [](unsigned i) { return 0x1000 + Addr{i} * 64; };
+    auto touch = [&](HomeDirectory &d, unsigned i) {
+        HomeDirectory::Entry &e = d.at(line_of(i));
+        // An Exclusive fill, then a second reader as the F holder.
+        d.readFromMemory(e, i % n);
+        d.readFromOwner(e, (i * 3 + 1) % n);
+    };
+    HomeDirectory fwd(mkConfig(SharerFormat::full, n));
+    HomeDirectory rev(mkConfig(SharerFormat::full, n));
+    for (unsigned i = 0; i < lines; ++i)
+        touch(fwd, i);
+    for (unsigned i = lines; i-- > 0;)
+        touch(rev, i);
+    auto digest = [](const HomeDirectory &d) {
+        StateHasher h;
+        d.hashInto(h);
+        return h.value();
+    };
+    const std::uint64_t h = digest(fwd);
+    EXPECT_EQ(digest(rev), h);
+    fwd.writeback(line_of(lines), 0);
+    EXPECT_EQ(digest(fwd), h);
+    rev.writeback(line_of(0), 0); // Line 0 was {0, 1}, owner 1.
+    EXPECT_NE(digest(rev), h);
+
+    // The scan agrees with caches that hold what the entries record.
+    fwd.check([&](CoreId c, Addr line) {
+        const unsigned i = static_cast<unsigned>((line - 0x1000) / 64);
+        if (c == (i * 3 + 1) % n)
+            return Mesif::forwarding;
+        return c == i % n ? Mesif::shared : Mesif::invalid;
+    });
 }
 
 // End-to-end SWMR regression: seeded random workloads under the
