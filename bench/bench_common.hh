@@ -15,15 +15,13 @@
  * SPP_PROGRESS=1 to watch per-job completion lines on stderr.
  *
  * Telemetry: pass --telemetry DIR (or set SPP_TELEMETRY=DIR) to
- * write per-job time-series CSVs, Chrome-trace timelines and run
- * manifests into DIR; SPP_TELEMETRY_PERIOD overrides the sampling
- * cadence in ticks. Off by default at zero cost.
+ * write per-job Chrome-trace timelines and run manifests into DIR.
+ * Off by default at zero cost.
  *
  * Attribution: pass --attribution DIR (or set SPP_ATTRIBUTION=DIR)
  * to write per-job attribution.{json,txt} artifacts — per-sync-point
- * misprediction and traffic accounting — into DIR;
- * SPP_ATTRIBUTION_TOPK / SPP_ATTRIBUTION_REGION tune the store.
- * Off by default at zero cost.
+ * misprediction and traffic accounting — into DIR. Off by default
+ * at zero cost.
  *
  * Traces: pass --replay FILE (or SPP_TRACE_REPLAY=FILE) to drive
  * every job from one `.spptrace` file instead of the workload
@@ -135,8 +133,7 @@ inline const char *
 benchEnvNote()
 {
     return "SPP_JOBS, SPP_BENCH_SCALE, SPP_PROGRESS, SPP_TELEMETRY, "
-           "SPP_TELEMETRY_PERIOD, SPP_ATTRIBUTION, SPP_TRACE_REPLAY, "
-           "SPP_RESULT_STORE";
+           "SPP_ATTRIBUTION, SPP_TRACE_REPLAY, SPP_RESULT_STORE";
 }
 
 /** Register the flags every figure/table driver shares. */
@@ -167,8 +164,7 @@ addBenchFlags(FlagSet &fs)
                    g_format = sharerFormatFromString(v);
                });
     fs.onValue("--telemetry", "DIR",
-               "write per-job time series / Chrome traces / "
-               "manifests into DIR",
+               "write per-job Chrome traces and manifests into DIR",
                [](const std::string &v) { g_telemetry.dir = v; });
     fs.onValue("--attribution", "DIR",
                "write per-job sync-point attribution artifacts "

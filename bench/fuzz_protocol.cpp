@@ -18,8 +18,7 @@
  * run *must* find a violation, proving the checker catches real bugs.
  *
  * Telemetry: --telemetry DIR (or SPP_TELEMETRY=DIR) writes per-case
- * series/trace/manifest sidecars into DIR, same as the bench_common
- * drivers.
+ * trace/manifest sidecars into DIR, same as the bench_common drivers.
  */
 
 #include <cstdio>

@@ -2,7 +2,7 @@
  * @file
  * spp runner: a small command-line front end for one-off experiment
  * runs — pick a workload, protocol, predictor and knobs; get a
- * readable statistics summary, or with --raw the full spp-result-v1
+ * readable statistics summary, or with --raw the full spp-result-v2
  * JSON document (the result store's and the fingerprint's format).
  *
  * Usage:

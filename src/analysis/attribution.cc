@@ -1,16 +1,13 @@
 #include "analysis/attribution.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <limits>
 #include <tuple>
 
 #include "analysis/report.hh"
-#include "common/config.hh"
 #include "common/format.hh"
 #include "common/logging.hh"
 #include "telemetry/options.hh"
@@ -40,27 +37,6 @@ AttributionOptions::fromEnv()
     AttributionOptions opts;
     if (const char *dir = std::getenv("SPP_ATTRIBUTION"))
         opts.dir = dir;
-    std::uint64_t n = 0;
-    if (const char *k = std::getenv("SPP_ATTRIBUTION_TOPK")) {
-        const std::string err =
-            parseUnsigned("SPP_ATTRIBUTION_TOPK", k, 1,
-                          std::numeric_limits<std::size_t>::max(), n);
-        if (!err.empty())
-            SPP_FATAL("{}", err);
-        opts.topK = static_cast<std::size_t>(n);
-    }
-    if (const char *r = std::getenv("SPP_ATTRIBUTION_REGION")) {
-        const std::string err =
-            parseUnsigned("SPP_ATTRIBUTION_REGION", r, 1,
-                          std::numeric_limits<unsigned>::max(), n);
-        if (!err.empty())
-            SPP_FATAL("{}", err);
-        if (!std::has_single_bit(n))
-            SPP_FATAL("SPP_ATTRIBUTION_REGION must be a power of two, "
-                      "got '{}'",
-                      r);
-        opts.regionBytes = static_cast<unsigned>(n);
-    }
     return opts;
 }
 
@@ -114,10 +90,6 @@ AttributionProfiler::AttributionProfiler(AttributionOptions opts)
     : opts_(std::move(opts))
 {
     SPP_ASSERT(opts_.topK > 0, "attribution topK must be positive");
-    SPP_ASSERT(std::has_single_bit(opts_.regionBytes),
-               "attribution regionBytes must be a power of two");
-    region_shift_ = static_cast<unsigned>(
-        std::countr_zero(opts_.regionBytes));
     store_.reserve(9 * opts_.topK);
 }
 
@@ -136,7 +108,6 @@ AttributionProfiler::onSyncPoint(CoreId core, const SyncPointInfo &info)
     ctx.type = info.type;
     ctx.staticId = info.staticId;
     ++ctx.epoch;
-    ctx.epochCell = Cell{};
     ctx.lastCell = nullptr;     // Memo keys on the current epoch.
 }
 
@@ -144,7 +115,7 @@ AttributionProfiler::Cell &
 AttributionProfiler::cellFor(CoreId core, Addr addr)
 {
     EpochCtx &ctx = cores_[core];
-    const Addr region = addr >> region_shift_;
+    const Addr region = addr >> regionShift;
     if (ctx.lastCell != nullptr && ctx.lastRegion == region)
         return *ctx.lastCell;
     Key k;
@@ -194,7 +165,6 @@ AttributionProfiler::onMissResolved(CoreId core, Addr line,
 
     cellFor(core, line).fold(d);
     totals_.fold(d);
-    cores_[core].epochCell.fold(d);
 }
 
 void
@@ -203,15 +173,12 @@ AttributionProfiler::onMessageSent(CoreId requester, Addr line,
 {
     // The hottest hook (one call per protocol message): increment
     // the two touched fields directly instead of folding a full
-    // delta cell three times.
+    // delta cell twice.
     Cell &cell = cellFor(requester, line);
     ++cell.messages;
     cell.nocBytes += bytes;
     ++totals_.messages;
     totals_.nocBytes += bytes;
-    Cell &epoch = cores_[requester].epochCell;
-    ++epoch.messages;
-    epoch.nocBytes += bytes;
 }
 
 void
@@ -274,31 +241,6 @@ AttributionProfiler::sortedEntries() const
     return all;
 }
 
-void
-AttributionProfiler::registerMetrics(MetricRegistry &reg) const
-{
-    reg.addCell("attr.correct", totals_.correct);
-    reg.addCell("attr.over", totals_.over);
-    reg.addCell("attr.under", totals_.under);
-    reg.addCell("attr.unpredicted", totals_.unpredicted);
-    reg.addCell("attr.wasted_bytes", totals_.wastedBytes);
-    reg.addCell("attr.under_ticks", totals_.underLatencyTicks);
-    reg.addCell("attr.messages", totals_.messages);
-    reg.addCell("attr.noc_bytes", totals_.nocBytes);
-}
-
-Json
-AttributionProfiler::epochArgs(CoreId core) const
-{
-    const Cell &c = cores_[core].epochCell;
-    Json j = Json::object();
-    j["decisions"] = Json(c.decisions());
-    j["wasted_bytes"] = Json(c.wastedBytes);
-    j["under_ticks"] = Json(c.underLatencyTicks);
-    j["noc_bytes"] = Json(c.nocBytes);
-    return j;
-}
-
 namespace {
 
 Json
@@ -328,7 +270,7 @@ AttributionProfiler::toJson() const
     doc["schema"] = Json("spp.attribution.v1");
     Json jopts = Json::object();
     jopts["top_k"] = Json(opts_.topK);
-    jopts["region_bytes"] = Json(opts_.regionBytes);
+    jopts["region_bytes"] = Json(regionBytes);
     doc["options"] = std::move(jopts);
 
     // The report bound is topK; the live store can briefly hold up
@@ -351,7 +293,7 @@ AttributionProfiler::toJson() const
         e["sync_type"] = Json(toString(k.syncType));
         e["sync_static"] = Json(hexAddr(k.syncStatic));
         e["sync_epoch"] = Json(k.syncEpoch);
-        e["region"] = Json(hexAddr(k.region << region_shift_));
+        e["region"] = Json(hexAddr(k.region << regionShift));
         e["core"] = Json(k.core);
         e["stats"] = cellJson(all[i].second);
         entries.push(std::move(e));
@@ -390,7 +332,7 @@ AttributionProfiler::textReport(std::size_t topN) const
             .cell(strfmt("{}#{}", toString(k.syncType),
                          hexAddr(k.syncStatic)))
             .cell(k.syncEpoch)
-            .cell(hexAddr(k.region << region_shift_))
+            .cell(hexAddr(k.region << regionShift))
             .cell(k.core)
             .cell(c.correct)
             .cell(c.over)

@@ -14,8 +14,8 @@
  * where the sync fields name the sync-point that *began* the core's
  * current epoch (the paper's epoch naming), the epoch is the
  * per-core count of sync-points seen, and the region is the access
- * address at `regionBytes` granularity. Every decision lands in one
- * of four classes at resolution time:
+ * address at `regionBytes` (4 KiB) granularity. Every decision lands
+ * in one of four classes at resolution time:
  *
  *   correct      prediction attempted, sufficient, nothing wasted
  *   over         extra targets predicted: wasted request bytes
@@ -40,6 +40,7 @@
 #ifndef SPP_ANALYSIS_ATTRIBUTION_HH
 #define SPP_ANALYSIS_ATTRIBUTION_HH
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -50,7 +51,6 @@
 #include "sim/cmp_system.hh"
 #include "sync/sync_types.hh"
 #include "telemetry/json.hh"
-#include "telemetry/metrics.hh"
 
 namespace spp {
 
@@ -64,20 +64,18 @@ struct AttributionOptions
     /** Retained-key bound of the top-K store. */
     std::size_t topK = 256;
 
-    /** Address-region granularity (power of two, >= lineBytes). */
-    unsigned regionBytes = 4096;
-
     bool enabled() const { return !dir.empty(); }
 
-    /** SPP_ATTRIBUTION (dir), SPP_ATTRIBUTION_TOPK (>= 1) and
-     * SPP_ATTRIBUTION_REGION (bytes, a power of two); a bad value is
-     * fatal. */
+    /** SPP_ATTRIBUTION (dir). */
     static AttributionOptions fromEnv();
 };
 
 class AttributionProfiler : public AttributionSink, public SyncListener
 {
   public:
+    /** Address-region granularity of the attribution key. */
+    static constexpr unsigned regionBytes = 4096;
+
     /** Where cost is charged: the sync-point beginning the core's
      * current epoch, plus address region and core. */
     struct Key
@@ -119,9 +117,7 @@ class AttributionProfiler : public AttributionSink, public SyncListener
 
     explicit AttributionProfiler(AttributionOptions opts);
 
-    /** Hook @p sys (sink + sync listener). When telemetry is also
-     * attached, attach it first: its epoch recorder must observe the
-     * closing epoch's snapshot before onSyncPoint() resets it. */
+    /** Hook @p sys (sink + sync listener). */
     void attach(CmpSystem &sys);
 
     // AttributionSink
@@ -133,17 +129,6 @@ class AttributionProfiler : public AttributionSink, public SyncListener
 
     // SyncListener
     void onSyncPoint(CoreId core, const SyncPointInfo &info) override;
-
-    /** Register the aggregate attr.* counters (borrowed cells; the
-     * profiler must outlive the sampler, and does — both live in one
-     * experiment scope). */
-    void registerMetrics(MetricRegistry &reg) const;
-
-    /** Snapshot of the core's current epoch for the telemetry epoch
-     * annotator ({"decisions","wasted_bytes","under_ticks",
-     * "noc_bytes"}); read it before the closing sync-point resets
-     * the epoch. */
-    Json epochArgs(CoreId core) const;
 
     /** The full machine-readable document (spp.attribution.v1):
      * ranked entries, exact totals, overflow summary. Deterministic
@@ -178,7 +163,6 @@ class AttributionProfiler : public AttributionSink, public SyncListener
         SyncType type = SyncType::threadStart;
         std::uint64_t staticId = 0;
         std::uint64_t epoch = 0;
-        Cell epochCell;  ///< Reset at each sync-point.
 
         /** Single-entry memo for cellFor(): messages and miss
          * resolutions arrive in per-transaction bursts that hit the
@@ -193,8 +177,10 @@ class AttributionProfiler : public AttributionSink, public SyncListener
     Cell &cellFor(CoreId core, Addr addr);
     void compact();
 
+    static constexpr unsigned regionShift =
+        std::countr_zero(regionBytes);
+
     AttributionOptions opts_;
-    unsigned region_shift_ = 12;
     std::vector<EpochCtx> cores_;
     std::unordered_map<Key, Cell, KeyHash> store_;
     Cell totals_;

@@ -147,23 +147,10 @@ runExperiment(const std::string &workload_name,
             cfg.numCores, xcfg.recordMissTargets);
         res.trace->attach(sys);
     }
-    if (telemetry && attrib) {
-        // Cross-wire before attaching: attr.* counters join the
-        // sampled series and every closed epoch gets an attribution
-        // annotation + per-sync-point counter tracks.
-        AttributionProfiler *p = attrib.get();
-        telemetry->setExtraMetrics(
-            [p](MetricRegistry &reg) { p->registerMetrics(reg); });
-        telemetry->setEpochAnnotator(
-            [p](CoreId core) { return p->epochArgs(core); });
-    }
     if (telemetry) {
         telemetry->attach(sys);
         telemetry->manifest().beginPhase("run");
     }
-    // After telemetry: the epoch recorder must observe a closing
-    // epoch's snapshot before the profiler's listener resets it
-    // (sync listeners run in registration order).
     if (attrib)
         attrib->attach(sys);
 

@@ -36,8 +36,8 @@ struct ExperimentConfig
     bool recordMissTargets = false; ///< Per-miss targets in the trace.
     bool checkCoherence = false;    ///< Run invariant checkers after.
 
-    /** Telemetry sidecars (time series, Chrome trace, manifest);
-     * disabled unless telemetry.dir is set. */
+    /** Telemetry sidecars (Chrome trace, manifest); disabled unless
+     * telemetry.dir is set. */
     TelemetryOptions telemetry;
     /** Per-sync-point attribution profiling (attribution.{json,txt}
      * artifacts); disabled unless attribution.dir is set. */

@@ -31,7 +31,6 @@ struct EpochRecord
     SyncType beginType = SyncType::threadStart;
     std::uint64_t staticId = 0;
     std::uint64_t dynamicId = 0;
-    Tick beginTick = 0;
     /** Communication volume towards each target core. */
     std::vector<std::uint32_t> volume;
     std::uint32_t misses = 0;

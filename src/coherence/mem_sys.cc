@@ -21,7 +21,6 @@ MemSys::MemSys(const Config &cfg, EventQueue &eq, Mesh &mesh,
     l2_.reserve(n_cores_);
     wb_buffer_.resize(n_cores_);
     mshr_.resize(n_cores_);
-    core_stats_.resize(n_cores_);
     for (unsigned c = 0; c < n_cores_; ++c) {
         l1_.push_back(std::make_unique<CacheArray>(
             cfg.l1Bytes, cfg.l1Assoc, cfg.lineBytes));
@@ -163,7 +162,6 @@ MemSys::accessL2(CoreId core, Addr addr, bool is_write, Pc pc,
             m.needData = !(is_write && had_line);
 
             ++stats_.misses;
-            ++core_stats_[core].misses;
             if (m.out.upgrade)
                 ++stats_.upgradeMisses;
 
@@ -556,7 +554,6 @@ MemSys::finishOutcome(Mshr &m)
     stats_.missLatency.sample(lat);
     if (out.communicating) {
         ++stats_.communicatingMisses;
-        ++core_stats_[m.core].commMisses;
         stats_.commMissLatency.sample(lat);
         stats_.actualTargets.sample(
             static_cast<double>(out.servicedBy.count()));

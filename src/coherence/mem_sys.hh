@@ -175,18 +175,6 @@ struct MemSysStats
 };
 
 /**
- * Per-core miss counts, kept next to the aggregate MemSysStats so
- * the telemetry sampler can expose time-resolved per-core series.
- * The vector is sized once at construction; cell addresses stay
- * stable for the lifetime of the MemSys (samplers hold pointers).
- */
-struct CoreMemStats
-{
-    std::uint64_t misses = 0;
-    std::uint64_t commMisses = 0;
-};
-
-/**
  * Abstract coherent memory system: local caches + a miss protocol.
  */
 class MemSys
@@ -209,19 +197,10 @@ class MemSys
     const AddressMap &map() const { return map_; }
     const Config &config() const { return cfg_; }
     const MemSysStats &stats() const { return stats_; }
-    const std::vector<CoreMemStats> &coreStats() const
-    {
-        return core_stats_;
-    }
-    /** Lines currently locked at their home tiles (telemetry gauge). */
-    std::size_t outstandingLineLocks() const
-    {
-        return locks_.lockedLines();
-    }
     EventQueue &eventQueue() { return eq_; }
     Mesh &mesh() { return mesh_; }
 
-    /** Coherence-message pool counters (telemetry / leak tests). */
+    /** Coherence-message pool counters (leak tests, simbench). */
     const PoolStats &msgPoolStats() const { return msg_pool_.stats(); }
 
     /** Writeback-buffer pool counters, summed across cores. */
@@ -517,7 +496,6 @@ class MemSys
     std::vector<std::optional<Mshr>> mshr_;
     LineLockTable locks_;
     MemSysStats stats_;
-    std::vector<CoreMemStats> core_stats_;
 
     std::uint64_t version_counter_ = 0;
     std::uint64_t txn_counter_ = 0;

@@ -31,7 +31,7 @@
 
 namespace spp {
 
-/** Allocation/reuse counters of one pool (telemetry). */
+/** Allocation/reuse counters of one pool. */
 struct PoolStats
 {
     std::uint64_t acquires = 0; ///< Total acquire() calls.
@@ -39,17 +39,6 @@ struct PoolStats
     std::size_t allocated = 0;  ///< Slots ever carved from slabs.
     std::size_t live = 0;       ///< Currently acquired.
     std::size_t peak = 0;       ///< High-water mark of live.
-
-    /** Fraction of acquires served without touching the allocator
-     * (slab carving is cheap but hitRate isolates true reuse). */
-    double
-    hitRate() const
-    {
-        return acquires == 0
-            ? 0.0
-            : static_cast<double>(reuses) /
-                static_cast<double>(acquires);
-    }
 
     /** Fold another pool's counters in (summed pool families). */
     PoolStats &

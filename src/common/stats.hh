@@ -36,11 +36,7 @@ class Counter
 
     /**
      * Read the current value and replace it with @p new_value
-     * (default 0) in one step. Interval consumers that only need
-     * per-period deltas should instead keep their own last-seen
-     * snapshot (telemetry::Sampler does) so the cumulative total
-     * survives for end-of-run aggregation; exchange() is for owners
-     * that genuinely hand the whole count off.
+     * (default 0) in one step.
      */
     std::uint64_t
     exchange(std::uint64_t new_value = 0)

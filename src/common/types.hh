@@ -19,9 +19,6 @@ using Addr = std::uint64_t;
 /** Identifier of a physical core / tile. */
 using CoreId = std::uint32_t;
 
-/** Identifier of a logical thread (see ThreadMap for migration). */
-using ThreadId = std::uint32_t;
-
 /** Program counter of a (synthetic) static instruction or sync-point. */
 using Pc = std::uint64_t;
 

@@ -89,27 +89,11 @@ class CommCounters
 
     std::uint8_t count(CoreId c) const { return counts_[c]; }
 
-    /**
-     * Clear the per-epoch counters (epoch boundary). The lifetime
-     * total is folded in first so interval consumers — the telemetry
-     * sampler reads lifetimeTotal() while epochs reset underneath —
-     * see a monotonic cumulative series instead of a sawtooth.
-     */
-    void
-    reset()
-    {
-        lifetime_ += total();
-        std::fill(counts_.begin(), counts_.end(), 0);
-    }
-
-    /** Cumulative recorded volume across all epochs, including the
-     * running one. Model bookkeeping only: not part of the 17 B/core
-     * hardware budget (Section 5.4). */
-    std::uint64_t lifetimeTotal() const { return lifetime_ + total(); }
+    /** Clear the per-epoch counters (epoch boundary). */
+    void reset() { std::fill(counts_.begin(), counts_.end(), 0); }
 
   private:
     std::vector<std::uint8_t> counts_;
-    std::uint64_t lifetime_ = 0;
 };
 
 } // namespace spp

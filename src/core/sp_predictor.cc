@@ -19,7 +19,7 @@ toString(PredSource s)
 
 SpPredictor::SpPredictor(const Config &cfg, unsigned n_cores)
     : cfg_(cfg), n_cores_(n_cores),
-      table_(n_cores, cfg.historyDepth), map_(n_cores),
+      table_(n_cores, cfg.historyDepth),
       epochs_(n_cores)
 {
     for (EpochState &e : epochs_) {
@@ -48,8 +48,8 @@ SpPredictor::closeEpoch(CoreId core)
         ++sp_stats_.noisyEpochs;
         return;
     }
-    const CoreSet sig = map_.toLogical(
-        e.counters.hotSet(cfg_.hotThreshold, cfg_.maxHotSetSize));
+    const CoreSet sig =
+        e.counters.hotSet(cfg_.hotThreshold, cfg_.maxHotSetSize);
     if (sig.empty()) {
         ++sp_stats_.noisyEpochs;
         return;
@@ -71,7 +71,6 @@ SpPredictor::formPredictor(CoreId core, const SyncPointInfo &info,
         CoreSet holders = table_.lockHolders(info.staticId);
         if (cfg_.unionEpochIntoLock)
             holders |= prev_hot;
-        holders = map_.toPhysical(holders);
         holders.reset(core);
         if (!holders.empty()) {
             e.predictor = holders;
@@ -109,7 +108,6 @@ SpPredictor::formPredictor(CoreId core, const SyncPointInfo &info,
         if (sig.empty())
             sig = sigs[0];
     }
-    sig = map_.toPhysical(sig);
     sig.reset(core);
     if (!sig.empty()) {
         e.predictor = sig;
@@ -124,8 +122,8 @@ SpPredictor::onSyncPoint(CoreId core, const SyncPointInfo &info)
 
     EpochState &e = epochs_[core];
     // Preceding epoch's hot set, for the lock-union extension.
-    const CoreSet prev_hot = map_.toLogical(
-        e.counters.hotSet(cfg_.hotThreshold, cfg_.maxHotSetSize));
+    const CoreSet prev_hot =
+        e.counters.hotSet(cfg_.hotThreshold, cfg_.maxHotSetSize);
     e.beginType = info.type;
     e.staticId = info.staticId;
     e.isCriticalSection = beginsCriticalSection(info.type);
@@ -141,11 +139,8 @@ SpPredictor::onSyncPoint(CoreId core, const SyncPointInfo &info)
         // Record the previous holder "just after the lock is
         // acquired" (Section 4.3) so all critical sections protected
         // by the same lock share the history.
-        if (info.prevHolder != invalidCore) {
-            table_.storeLockHolder(
-                info.staticId,
-                map_.thread(info.prevHolder));
-        }
+        if (info.prevHolder != invalidCore)
+            table_.storeLockHolder(info.staticId, info.prevHolder);
     }
 
     formPredictor(core, info, prev_hot);

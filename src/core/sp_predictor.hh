@@ -24,7 +24,6 @@
 #include "common/stats.hh"
 #include "core/comm_counters.hh"
 #include "core/sp_table.hh"
-#include "core/thread_map.hh"
 #include "predict/predictor.hh"
 #include "sync/sync_types.hh"
 
@@ -67,13 +66,11 @@ class SpPredictor : public DestinationPredictor, public SyncListener
 
     const SpStats &stats() const { return sp_stats_; }
     const SpTable &table() const { return table_; }
-    ThreadMap &threadMap() { return map_; }
 
     /**
      * Pre-seed the SP-table with a profiled signature (Section 5.2:
      * "this gap may be bridged somewhat if off-line profiling offers
-     * initial prediction information"). Signatures use logical
-     * thread IDs.
+     * initial prediction information").
      */
     void
     seedSignature(CoreId core, std::uint64_t static_id,
@@ -84,7 +81,7 @@ class SpPredictor : public DestinationPredictor, public SyncListener
 
     /** Pre-seed a lock entry's holder history. */
     void
-    seedLockHolder(std::uint64_t lock_addr, ThreadId holder)
+    seedLockHolder(std::uint64_t lock_addr, CoreId holder)
     {
         table_.storeLockHolder(lock_addr, holder);
     }
@@ -93,15 +90,6 @@ class SpPredictor : public DestinationPredictor, public SyncListener
     const CoreSet &predictorRegister(CoreId core) const
     {
         return epochs_[core].predictor;
-    }
-
-    /** Cumulative communication volume recorded by @p core's
-     * counters across all epochs (telemetry gauge; survives the
-     * per-epoch counter reset). */
-    std::uint64_t
-    commVolume(CoreId core) const
-    {
-        return epochs_[core].counters.lifetimeTotal();
     }
 
   private:
@@ -135,7 +123,6 @@ class SpPredictor : public DestinationPredictor, public SyncListener
     const Config &cfg_;
     unsigned n_cores_;
     SpTable table_;
-    ThreadMap map_;
     std::vector<EpochState> epochs_;
     SpStats sp_stats_;
 };

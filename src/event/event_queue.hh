@@ -63,46 +63,8 @@ class EventQueue
 
     using Action = InlineFn<actionCapacity>;
 
-    /**
-     * Observer of periodic tick-boundary crossings (telemetry
-     * sampling). onBoundary(b) fires the first time execution
-     * reaches a tick >= b, *before* the event at that tick runs, so
-     * the observer sees simulator state exactly as of the start of
-     * the boundary tick. When a single event advances time across
-     * several boundaries, one callback fires per boundary (in
-     * order), all observing the same quiescent state.
-     */
-    class TickObserver
-    {
-      public:
-        virtual ~TickObserver() = default;
-        virtual void onBoundary(Tick boundary) = 0;
-    };
-
     /** Current simulated time. */
     Tick curTick() const { return cur_tick_; }
-
-    /**
-     * Install @p obs, firing every @p period ticks starting at the
-     * next multiple of @p period after curTick(); nullptr removes
-     * the observer. The observer is polled on the event execution
-     * path rather than scheduled as events, so the queue still
-     * drains naturally and a disabled (null) observer costs one
-     * predictable branch per event.
-     */
-    void
-    setTickObserver(TickObserver *obs, Tick period = 0)
-    {
-        obs_ = obs;
-        if (obs != nullptr) {
-            SPP_ASSERT(period > 0,
-                       "tick-observer period must be non-zero");
-            obs_period_ = period;
-            obs_next_ = (cur_tick_ / period + 1) * period;
-        }
-    }
-
-    bool hasTickObserver() const { return obs_ != nullptr; }
 
     /** Schedule @p action at absolute time @p when (>= curTick()). */
     void
@@ -134,22 +96,6 @@ class EventQueue
 
     std::size_t pending() const { return pending_; }
 
-    /** Events waiting in the near-time window's slots. */
-    std::size_t nearPending() const { return pending_ - far_.size(); }
-
-    /** Events parked in the far-future overflow heap. */
-    std::size_t farPending() const { return far_.size(); }
-
-    /** Near-window slots currently holding at least one event. */
-    std::size_t
-    occupiedSlots() const
-    {
-        std::size_t n = 0;
-        for (const std::uint64_t w : occupancy_)
-            n += static_cast<std::size_t>(std::popcount(w));
-        return n;
-    }
-
     /** Tick of the next pending event; queue must be non-empty. */
     Tick
     nextEventTick() const
@@ -168,12 +114,6 @@ class EventQueue
         SPP_ASSERT(pending_ != 0, "step on empty event queue");
         const Tick now = nextEventTick();
         cur_tick_ = now;
-        if (obs_ != nullptr) [[unlikely]] {
-            while (cur_tick_ >= obs_next_) {
-                obs_->onBoundary(obs_next_);
-                obs_next_ += obs_period_;
-            }
-        }
 
         // Far entries due now were all scheduled before any slot
         // entry for this tick existed (see class comment), so they
@@ -364,9 +304,6 @@ class EventQueue
     Tick cur_tick_ = 0;
     std::uint64_t next_seq_ = 0;
     std::uint64_t executed_ = 0;
-    TickObserver *obs_ = nullptr;
-    Tick obs_period_ = 0;
-    Tick obs_next_ = maxTick;
 };
 
 } // namespace spp

@@ -81,8 +81,7 @@ class Mesh
      * Cumulative ticks each directional link has been reserved for
      * packet serialization; index = tile * 4 + direction (0 = +X,
      * 1 = -X, 2 = +Y, 3 = -Y). Zeros when contention modeling is
-     * off. The vector is sized once at construction, so cell
-     * addresses stay stable (the telemetry sampler holds pointers).
+     * off.
      */
     const std::vector<std::uint64_t> &linkBusyTicks() const
     {

@@ -28,6 +28,7 @@
 
 #include "common/config.hh"
 #include "common/core_set.hh"
+#include "common/logging.hh"
 #include "predict/predictor.hh"
 
 namespace spp {
@@ -43,14 +44,19 @@ class GroupEntry
 
     explicit GroupEntry(unsigned n_cores) : counters_(n_cores, 0) {}
 
-    /** Train up the counters of @p who; decay all counters once per
-     * @p traindown_period trainings. */
+    /** Train up the counters of @p who, every member a core of this
+     * entry; decay all counters once per @p traindown_period
+     * trainings. */
     void
     train(const CoreSet &who, unsigned traindown_period)
     {
-        for (CoreId c : who)
+        for (CoreId c : who) {
+            SPP_ASSERT(c < counters_.size(),
+                       "core {} trained into a {}-core entry", c,
+                       counters_.size());
             if (counters_[c] < counterMax)
                 ++counters_[c];
+        }
         if (++rollover_ >= traindown_period) {
             rollover_ = 0;
             for (auto &v : counters_)

@@ -265,7 +265,6 @@ traceToJson(const CommTrace &t)
                 Json(static_cast<unsigned>(e.beginType));
             rec["static_id"] = u64ToJson(e.staticId);
             rec["dynamic_id"] = u64ToJson(e.dynamicId);
-            rec["begin_tick"] = Json(e.beginTick);
             rec["misses"] = Json(e.misses);
             rec["comm_misses"] = Json(e.commMisses);
             Json vol = Json::array();
@@ -419,8 +418,7 @@ traceFromJson(const Json &doc, std::unique_ptr<CommTrace> &out,
             }
             e.beginType = static_cast<SyncType>(bt);
             if (!getU64Field(rec, "static_id", e.staticId, err) ||
-                !getU64Field(rec, "dynamic_id", e.dynamicId, err) ||
-                !getCount(rec, "begin_tick", e.beginTick, err))
+                !getU64Field(rec, "dynamic_id", e.dynamicId, err))
                 return false;
             std::uint64_t v = 0;
             if (!getCount(rec, "misses", v, err) ||

@@ -39,7 +39,7 @@
 namespace spp {
 
 /** On-disk schema tag; bump when the entry layout changes. */
-inline constexpr const char *resultStoreSchema = "spp-result-v1";
+inline constexpr const char *resultStoreSchema = "spp-result-v2";
 
 /**
  * Process-wide store traffic counters. Atomic: sweep workers consult

@@ -82,16 +82,6 @@ ChromeTraceWriter::instant(const std::string &name,
     events_.push_back(std::move(e));
 }
 
-void
-ChromeTraceWriter::counter(const std::string &name, Tick ts, double v)
-{
-    if (!admit())
-        return;
-    Json e = base("C", name, 0, ts);
-    e["args"]["value"] = Json(v);
-    events_.push_back(std::move(e));
-}
-
 Json
 ChromeTraceWriter::toJson() const
 {

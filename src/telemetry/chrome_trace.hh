@@ -6,10 +6,9 @@
  * {"traceEvents": [...]}, which both chrome://tracing and
  * ui.perfetto.dev open directly. One simulated core maps to one
  * thread track (tid = core); sync-epochs render as complete ("X")
- * duration events, misses and sync-points as instant ("i") events,
- * and sampler series as counter ("C") tracks. Simulated ticks are
- * written as microseconds 1:1, so the viewer's time axis reads in
- * ticks.
+ * duration events, misses and sync-points as instant ("i") events.
+ * Simulated ticks are written as microseconds 1:1, so the viewer's
+ * time axis reads in ticks.
  *
  * Event storage is bounded: past @p max_events the writer counts
  * drops instead of growing (the drop count lands in the emitted
@@ -48,9 +47,6 @@ class ChromeTraceWriter
     /** Thread-scoped instant event at @p ts. */
     void instant(const std::string &name, const std::string &category,
                  unsigned tid, Tick ts, Json args = Json());
-
-    /** Counter-track sample: series @p name has value @p v at @p ts. */
-    void counter(const std::string &name, Tick ts, double v);
 
     std::size_t events() const { return events_.size(); }
     std::uint64_t dropped() const { return dropped_; }

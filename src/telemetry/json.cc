@@ -168,6 +168,7 @@ struct Parser
 {
     std::string_view text;
     std::size_t pos = 0;
+    unsigned depth = 0; ///< Open objects and arrays.
     bool failed = false;
 
     void
@@ -272,6 +273,53 @@ struct Parser
         return fail(); // Unterminated string.
     }
 
+    /** Object body; the opening brace is already consumed. */
+    Json
+    parseObject()
+    {
+        Json obj = Json::object();
+        if (consume('}'))
+            return obj;
+        for (;;) {
+            if (!consume('"'))
+                return fail();
+            Json key = parseString();
+            if (failed)
+                return Json();
+            if (!consume(':'))
+                return fail();
+            Json val = parseValue();
+            if (failed)
+                return Json();
+            obj[key.asString()] = std::move(val);
+            if (consume(','))
+                continue;
+            if (consume('}'))
+                return obj;
+            return fail();
+        }
+    }
+
+    /** Array body; the opening bracket is already consumed. */
+    Json
+    parseArray()
+    {
+        Json arr = Json::array();
+        if (consume(']'))
+            return arr;
+        for (;;) {
+            Json val = parseValue();
+            if (failed)
+                return Json();
+            arr.push(std::move(val));
+            if (consume(','))
+                continue;
+            if (consume(']'))
+                return arr;
+            return fail();
+        }
+    }
+
     Json
     parseValue()
     {
@@ -279,48 +327,16 @@ struct Parser
         if (pos >= text.size())
             return fail();
         const char c = text[pos];
-        if (c == '{') {
-            ++pos;
-            Json obj = Json::object();
-            skipWs();
-            if (consume('}'))
-                return obj;
-            for (;;) {
-                if (!consume('"'))
-                    return fail();
-                Json key = parseString();
-                if (failed)
-                    return Json();
-                if (!consume(':'))
-                    return fail();
-                Json val = parseValue();
-                if (failed)
-                    return Json();
-                obj[key.asString()] = std::move(val);
-                if (consume(','))
-                    continue;
-                if (consume('}'))
-                    return obj;
+        if (c == '{' || c == '[') {
+            // Each level recurses once: bound it so crafted input
+            // fails cleanly instead of overflowing the stack.
+            if (depth == Json::maxParseDepth)
                 return fail();
-            }
-        }
-        if (c == '[') {
             ++pos;
-            Json arr = Json::array();
-            skipWs();
-            if (consume(']'))
-                return arr;
-            for (;;) {
-                Json val = parseValue();
-                if (failed)
-                    return Json();
-                arr.push(std::move(val));
-                if (consume(','))
-                    continue;
-                if (consume(']'))
-                    return arr;
-                return fail();
-            }
+            ++depth;
+            Json v = c == '{' ? parseObject() : parseArray();
+            --depth;
+            return v;
         }
         if (c == '"') {
             ++pos;

@@ -104,8 +104,12 @@ class Json
     void write(std::ostream &os, int indent = -1) const;
     std::string dump(int indent = -1) const;
 
+    /** Deepest nesting of objects and arrays parse() accepts. */
+    static constexpr unsigned maxParseDepth = 64;
+
     /** Strict parse of a complete document; nullopt on malformed
-     * input or trailing garbage. */
+     * input, nesting deeper than maxParseDepth or trailing
+     * garbage. */
     static std::optional<Json> parse(std::string_view text);
 
   private:

@@ -1,6 +1,6 @@
 /**
  * @file
- * Telemetry knobs. Deliberately a leaf header (types + strings only)
+ * Telemetry knobs. Deliberately a leaf header (strings only)
  * so ExperimentConfig can embed the options without pulling the
  * whole telemetry subsystem into every translation unit.
  */
@@ -10,8 +10,6 @@
 
 #include <string>
 
-#include "common/types.hh"
-
 namespace spp {
 
 struct TelemetryOptions
@@ -20,13 +18,9 @@ struct TelemetryOptions
      * disabled and the run pays zero observation cost. */
     std::string dir;
 
-    /** Sampling cadence of the time-series, in ticks. */
-    Tick samplePeriod = 5000;
-
     bool enabled() const { return !dir.empty(); }
 
-    /** SPP_TELEMETRY (dir) and SPP_TELEMETRY_PERIOD (ticks >= 1;
-     * anything else is fatal). */
+    /** SPP_TELEMETRY (dir). */
     static TelemetryOptions fromEnv();
 };
 

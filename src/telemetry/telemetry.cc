@@ -4,8 +4,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <limits>
-#include <set>
 
 #include "common/config.hh"
 #include "common/format.hh"
@@ -36,14 +34,6 @@ TelemetryOptions::fromEnv()
     TelemetryOptions opts;
     if (const char *dir = std::getenv("SPP_TELEMETRY"))
         opts.dir = dir;
-    if (const char *period = std::getenv("SPP_TELEMETRY_PERIOD")) {
-        const std::string err =
-            parseUnsigned("SPP_TELEMETRY_PERIOD", period, 1,
-                          std::numeric_limits<Tick>::max(),
-                          opts.samplePeriod);
-        if (!err.empty())
-            SPP_FATAL("{}", err);
-    }
     return opts;
 }
 
@@ -71,24 +61,11 @@ sanitizeFileLabel(const std::string &label)
  * duration events: each epoch [sync-point, next sync-point) becomes
  * one "X" event on the core's track, named by the sync type and
  * static ID that *began* it (the paper's epoch naming).
- *
- * With an epoch annotator installed, every closed epoch additionally
- * carries an "attr" args object, and its wasted_bytes / noc_bytes
- * fields become per-sync-point counter series (one pair of tracks
- * per distinct sync-point name, capped so a pathological workload
- * cannot drown the timeline; drops are counted in the manifest).
  */
 struct RunTelemetry::EpochRecorder : SyncListener
 {
     ChromeTraceWriter *trace = nullptr;
     const EventQueue *eq = nullptr;
-    const EpochAnnotator *annotator = nullptr;
-
-    /** Per-sync-point counter-track cap (each name costs two
-     * tracks). */
-    static constexpr std::size_t maxAttrTracks = 64;
-    std::set<std::string> attrTracks;
-    std::uint64_t attrTracksDropped = 0;
 
     struct Open
     {
@@ -121,42 +98,13 @@ struct RunTelemetry::EpochRecorder : SyncListener
         Open &o = open[core];
         if (!o.valid)
             return;
-        const std::string name =
-            strfmt("{}#{}", toString(o.type), o.staticId);
         Json args = Json::object();
         args["staticId"] = Json(o.staticId);
         args["dynamicId"] = Json(o.dynamicId);
-        if (annotator != nullptr && *annotator) {
-            Json attr = (*annotator)(core);
-            emitAttrCounters(name, attr, now);
-            args["attr"] = std::move(attr);
-        }
-        trace->duration(name, "epoch", core, o.begin, now,
-                        std::move(args));
+        trace->duration(strfmt("{}#{}", toString(o.type), o.staticId),
+                        "epoch", core, o.begin, now, std::move(args));
         ++epochsClosed;
         o.valid = false;
-    }
-
-    /** Per-sync-point cost series: the closing epoch's wasted and
-     * NoC bytes, plotted at the close tick under the epoch name. */
-    void
-    emitAttrCounters(const std::string &name, const Json &attr,
-                     Tick now)
-    {
-        if (attrTracks.find(name) == attrTracks.end()) {
-            if (attrTracks.size() >= maxAttrTracks) {
-                ++attrTracksDropped;
-                return;
-            }
-            attrTracks.insert(name);
-        }
-        for (const char *field : {"wasted_bytes", "noc_bytes"}) {
-            const Json *v = attr.find(field);
-            if (v != nullptr && v->isNumber()) {
-                trace->counter(strfmt("attr.{}.{}", name, field),
-                               now, v->asNumber());
-            }
-        }
     }
 };
 
@@ -178,105 +126,6 @@ RunTelemetry::base() const
 }
 
 void
-RunTelemetry::registerMetrics(CmpSystem &sys)
-{
-    MetricRegistry reg;
-    const MemSys &mem = sys.memSys();
-    const MemSysStats &ms = mem.stats();
-    const EventQueue &eq = sys.eventQueue();
-
-    reg.addGauge("events", [&eq] {
-        return static_cast<double>(eq.executed());
-    });
-
-    reg.addCounter("mem.accesses", ms.accesses);
-    reg.addCounter("mem.misses", ms.misses);
-    reg.addCounter("mem.comm_misses", ms.communicatingMisses);
-    reg.addCounter("mem.offchip_misses", ms.offChipMisses);
-    reg.addCounter("mem.writebacks", ms.writebacks);
-
-    reg.addCounter("pred.attempted", ms.predictionsAttempted);
-    reg.addCounter("pred.sufficient", ms.predictionsSufficient);
-    reg.addCounter("pred.on_noncomm", ms.predictionsOnNonComm);
-    reg.addCounter("pred.suppressed", ms.predictionsSuppressed);
-
-    reg.addGauge("locks.outstanding", [&mem] {
-        return static_cast<double>(mem.outstandingLineLocks());
-    });
-
-    // Event-kernel internals: calendar-queue depth/occupancy and
-    // freelist-pool efficiency (hit rate 1.0 = steady state without
-    // allocator traffic).
-    reg.addGauge("eq.near_pending", [&eq] {
-        return static_cast<double>(eq.nearPending());
-    });
-    reg.addGauge("eq.far_pending", [&eq] {
-        return static_cast<double>(eq.farPending());
-    });
-    reg.addGauge("eq.occupied_slots", [&eq] {
-        return static_cast<double>(eq.occupiedSlots());
-    });
-    reg.addGauge("pool.msg.hit_rate",
-                 [&mem] { return mem.msgPoolStats().hitRate(); });
-    reg.addGauge("pool.msg.live", [&mem] {
-        return static_cast<double>(mem.msgPoolStats().live);
-    });
-    reg.addGauge("pool.wb.hit_rate",
-                 [&mem] { return mem.wbPoolStats().hitRate(); });
-    reg.addGauge("pool.txn.hit_rate",
-                 [&mem] { return mem.txnPoolStats().hitRate(); });
-    reg.addGauge("pool.txn.live", [&mem] {
-        return static_cast<double>(mem.txnPoolStats().live);
-    });
-
-    const NocStats &noc = sys.mesh().stats();
-    reg.addCounter("noc.packets", noc.packets);
-    reg.addCounter("noc.flit_bytes", noc.flitBytes);
-
-    const SyncStats &sync = sys.syncManager().stats();
-    reg.addCounter("sync.sync_points", sync.syncPoints);
-    reg.addCounter("sync.lock_acquisitions", sync.lockAcquisitions);
-
-    if (const SpPredictor *sp = sys.spPredictor()) {
-        const SpStats &ss = sp->stats();
-        reg.addCounter("sp.epochs", ss.epochsStarted);
-        reg.addCounter("sp.noisy_epochs", ss.noisyEpochs);
-        reg.addCounter("sp.recoveries", ss.recoveries);
-    }
-
-    // Per-core series. The CoreMemStats vector is sized once at
-    // MemSys construction, so the cell addresses are stable.
-    const auto &cores = mem.coreStats();
-    for (unsigned c = 0; c < cores.size(); ++c) {
-        reg.addCell(strfmt("mem.core{}.misses", c), cores[c].misses);
-        reg.addCell(strfmt("mem.core{}.comm_misses", c),
-                    cores[c].commMisses);
-    }
-    if (const SpPredictor *sp = sys.spPredictor()) {
-        for (unsigned c = 0; c < cores.size(); ++c) {
-            reg.addGauge(strfmt("sp.core{}.comm_volume", c),
-                         [sp, c] {
-                             return static_cast<double>(
-                                 sp->commVolume(c));
-                         });
-        }
-    }
-
-    // Per-link utilization (cumulative busy ticks; diff rows and
-    // divide by the sample period for a utilization fraction).
-    const auto &links = sys.mesh().linkBusyTicks();
-    for (std::size_t i = 0; i < links.size(); ++i)
-        reg.addCell(strfmt("noc.link{}.busy_ticks", i), links[i]);
-
-    if (extra_metrics_)
-        extra_metrics_(reg);
-
-    sampler_ = std::make_unique<Sampler>(std::move(reg),
-                                         opts_.samplePeriod);
-    sampler_->attach(sys.eventQueue());
-}
-
-void
 RunTelemetry::attach(CmpSystem &sys)
 {
     if (!enabled())
@@ -291,8 +140,6 @@ RunTelemetry::attach(CmpSystem &sys)
                   opts_.dir, ec.message());
     }
 
-    registerMetrics(sys);
-
     trace_ = std::make_unique<ChromeTraceWriter>();
     trace_->setProcessName(label_);
     for (unsigned c = 0; c < sys.config().numCores; ++c)
@@ -301,7 +148,6 @@ RunTelemetry::attach(CmpSystem &sys)
     epochs_ = std::make_unique<EpochRecorder>();
     epochs_->trace = trace_.get();
     epochs_->eq = &sys.eventQueue();
-    epochs_->annotator = &epoch_annotator_;
     epochs_->open.resize(sys.config().numCores);
     sys.syncManager().addListener(epochs_.get());
 
@@ -330,30 +176,6 @@ RunTelemetry::attach(CmpSystem &sys)
     jcfg["seed"] = Json(cfg.seed);
     manifest_.set("label", Json(label_));
     manifest_.set("config", std::move(jcfg));
-    manifest_.set("sample_period", Json(opts_.samplePeriod));
-}
-
-void
-RunTelemetry::emitCounterTracks()
-{
-    // Aggregate series become Perfetto counter tracks; the per-core
-    // and per-link columns stay CSV-only (hundreds of tracks would
-    // drown the timeline).
-    const MetricRegistry &reg = sampler_->registry();
-    const auto &rows = sampler_->rows();
-    for (std::size_t m = 0; m < reg.size(); ++m) {
-        const std::string &name = reg.name(m);
-        if (name.find(".core") != std::string::npos ||
-            name.find(".link") != std::string::npos) {
-            continue;
-        }
-        for (std::size_t r = 1; r < rows.size(); ++r) {
-            const double v = reg.cumulative(m)
-                ? sampler_->delta(r, m)
-                : rows[r].values[m];
-            trace_->counter(name, rows[r].tick, v);
-        }
-    }
 }
 
 void
@@ -363,20 +185,12 @@ RunTelemetry::finish(const RunResult &result)
         return;
     finished_ = true;
 
-    sampler_->finalize();
     const Tick end = sys_->eventQueue().curTick();
     for (CoreId c = 0; c < epochs_->open.size(); ++c)
         epochs_->closeEpoch(c, end);
-    emitCounterTracks();
 
     manifest_.endPhase();
 
-    {
-        std::ofstream os(seriesPath());
-        if (!os)
-            SPP_FATAL("cannot write '{}'", seriesPath());
-        sampler_->writeCsv(os);
-    }
     {
         std::ofstream os(tracePath());
         if (!os)
@@ -398,14 +212,10 @@ RunTelemetry::finish(const RunResult &result)
     manifest_.set("result", std::move(summary));
 
     Json files = Json::object();
-    files["series"] = Json(label_ + ".series.csv");
     files["trace"] = Json(label_ + ".trace.json");
-    files["samples"] = Json(sampler_->rows().size());
     files["trace_events"] = Json(trace_->events());
     files["trace_dropped"] = Json(trace_->dropped());
     files["epochs"] = Json(epochs_->epochsClosed);
-    if (epochs_->attrTracksDropped > 0)
-        files["attr_tracks_dropped"] = Json(epochs_->attrTracksDropped);
     manifest_.set("telemetry", std::move(files));
     manifest_.write(manifestPath());
 }

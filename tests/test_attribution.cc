@@ -135,6 +135,7 @@ TEST(Attribution, DeterministicArtifacts)
               slurp(dir_b + "/radiosity.attribution.txt"));
     EXPECT_NE(json_a.find("\"schema\": \"spp.attribution.v1\""),
               std::string::npos);
+    EXPECT_NE(json_a.find("\"region_bytes\": 4096"), std::string::npos);
 }
 
 TEST(Attribution, TopKEvictionKeepsTotalsExact)
@@ -188,34 +189,15 @@ TEST(Attribution, TextReportListsTopEntries)
     EXPECT_LE(rows, 12u);
 }
 
-TEST(Attribution, OptionsFromEnvValidation)
+TEST(Attribution, OptionsFromEnvironment)
 {
-    AttributionOptions defaults = AttributionOptions::fromEnv();
+    unsetenv("SPP_ATTRIBUTION");
+    const AttributionOptions defaults = AttributionOptions::fromEnv();
     EXPECT_FALSE(defaults.enabled());
     EXPECT_EQ(defaults.topK, 256u);
-    EXPECT_EQ(defaults.regionBytes, 4096u);
-    setenv("SPP_ATTRIBUTION_TOPK", "8", 1);
-    setenv("SPP_ATTRIBUTION_REGION", "1024", 1);
+    setenv("SPP_ATTRIBUTION", "attr_out", 1);
     const AttributionOptions set = AttributionOptions::fromEnv();
-    unsetenv("SPP_ATTRIBUTION_TOPK");
-    unsetenv("SPP_ATTRIBUTION_REGION");
-    EXPECT_EQ(set.topK, 8u);
-    EXPECT_EQ(set.regionBytes, 1024u);
-}
-
-TEST(AttributionDeathTest, BadEnvironmentValuesDieNamingThem)
-{
-    testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    const auto fromEnv = [](const char *var, const char *value) {
-        setenv(var, value, 1);
-        AttributionOptions::fromEnv();
-    };
-    for (const char *bad : {"0", "abc", "8x", "-1"})
-        EXPECT_EXIT(fromEnv("SPP_ATTRIBUTION_TOPK", bad),
-                    testing::ExitedWithCode(1), "SPP_ATTRIBUTION_TOPK")
-            << bad;
-    for (const char *bad : {"3000", "0", "64k", "4294967296"})
-        EXPECT_EXIT(fromEnv("SPP_ATTRIBUTION_REGION", bad),
-                    testing::ExitedWithCode(1), "SPP_ATTRIBUTION_REGION")
-            << bad;
+    unsetenv("SPP_ATTRIBUTION");
+    EXPECT_TRUE(set.enabled());
+    EXPECT_EQ(set.dir, "attr_out");
 }

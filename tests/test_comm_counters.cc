@@ -8,7 +8,6 @@
 
 #include "core/comm_counters.hh"
 #include "core/sp_table.hh"
-#include "core/thread_map.hh"
 
 using namespace spp;
 
@@ -68,22 +67,6 @@ TEST(CommCounters, Reset)
     c.record(CoreSet{1});
     c.reset();
     EXPECT_EQ(c.total(), 0u);
-}
-
-TEST(CommCounters, LifetimeTotalSurvivesReset)
-{
-    CommCounters c;
-    c.record(CoreSet{1, 2});
-    c.record(CoreSet{3});
-    EXPECT_EQ(c.lifetimeTotal(), 3u);
-    c.reset(); // Epoch boundary: per-epoch counts clear...
-    EXPECT_EQ(c.total(), 0u);
-    EXPECT_EQ(c.lifetimeTotal(), 3u); // ...the running total doesn't.
-    c.record(CoreSet{4});
-    EXPECT_EQ(c.lifetimeTotal(), 4u);
-    c.reset();
-    c.reset(); // A quiet epoch adds nothing.
-    EXPECT_EQ(c.lifetimeTotal(), 4u);
 }
 
 TEST(CommCountersDeathTest, RecordPastTheBankDies)
@@ -184,37 +167,4 @@ TEST(SpTable, AccessCounting)
     t.storeSignature(0, 1, CoreSet{1});
     t.entry(0, 1);
     EXPECT_EQ(t.accesses(), before + 2);
-}
-
-// --- ThreadMap ---
-
-TEST(ThreadMap, IdentityByDefault)
-{
-    ThreadMap m(16);
-    for (unsigned i = 0; i < 16; ++i) {
-        EXPECT_EQ(m.core(i), i);
-        EXPECT_EQ(m.thread(i), i);
-    }
-    EXPECT_EQ(m.toPhysical(CoreSet{3, 5}), (CoreSet{3, 5}));
-}
-
-TEST(ThreadMap, MigrationSwaps)
-{
-    ThreadMap m(16);
-    m.migrate(2, 9); // Thread 2 moves to core 9; thread 9 to core 2.
-    EXPECT_EQ(m.core(2), 9u);
-    EXPECT_EQ(m.core(9), 2u);
-    EXPECT_EQ(m.thread(9), 2u);
-    EXPECT_EQ(m.thread(2), 9u);
-    EXPECT_EQ(m.toPhysical(CoreSet{2}), CoreSet{9});
-    EXPECT_EQ(m.toLogical(CoreSet{9}), CoreSet{2});
-}
-
-TEST(ThreadMap, RoundTrip)
-{
-    ThreadMap m(16);
-    m.migrate(1, 5);
-    m.migrate(5, 12);
-    const CoreSet logical{1, 5, 7};
-    EXPECT_EQ(m.toLogical(m.toPhysical(logical)), logical);
 }

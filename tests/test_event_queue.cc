@@ -139,91 +139,6 @@ TEST(EventQueue, SchedulingInPastPanics)
     eq.run();
 }
 
-// --- TickObserver ---
-
-namespace {
-
-struct RecordingObserver : EventQueue::TickObserver
-{
-    std::vector<Tick> boundaries;
-    void onBoundary(Tick b) override { boundaries.push_back(b); }
-};
-
-} // namespace
-
-TEST(EventQueue, TickObserverFiresOnEachBoundary)
-{
-    EventQueue eq;
-    EXPECT_FALSE(eq.hasTickObserver());
-    RecordingObserver obs;
-    eq.setTickObserver(&obs, 10);
-    EXPECT_TRUE(eq.hasTickObserver());
-
-    eq.schedule(3, [] {});
-    eq.schedule(10, [] {});
-    eq.schedule(25, [] {});
-    eq.run();
-    EXPECT_EQ(obs.boundaries, (std::vector<Tick>{10, 20}));
-}
-
-TEST(EventQueue, TickObserverSeesStateBeforeBoundaryEvent)
-{
-    EventQueue eq;
-    int value = 0;
-    struct Probe : EventQueue::TickObserver
-    {
-        int *value;
-        int seen = -1;
-        void onBoundary(Tick) override { seen = *value; }
-    } obs;
-    obs.value = &value;
-    eq.setTickObserver(&obs, 10);
-
-    eq.schedule(4, [&] { value = 1; });
-    // The event *at* the boundary tick must not be visible yet.
-    eq.schedule(10, [&] { value = 2; });
-    eq.run();
-    EXPECT_EQ(obs.seen, 1);
-    EXPECT_EQ(value, 2);
-}
-
-TEST(EventQueue, TickObserverCatchesUpAcrossGaps)
-{
-    EventQueue eq;
-    RecordingObserver obs;
-    eq.setTickObserver(&obs, 10);
-    // A single event far in the future: one callback per crossed
-    // boundary, in order.
-    eq.schedule(42, [] {});
-    eq.run();
-    EXPECT_EQ(obs.boundaries, (std::vector<Tick>{10, 20, 30, 40}));
-}
-
-TEST(EventQueue, TickObserverInstallsMidRun)
-{
-    EventQueue eq;
-    RecordingObserver obs;
-    eq.schedule(15, [&] { eq.setTickObserver(&obs, 10); });
-    eq.schedule(30, [] {});
-    eq.run();
-    // Installed at tick 15: the first boundary is the next multiple
-    // of the period, not a stale one behind curTick().
-    EXPECT_EQ(obs.boundaries, (std::vector<Tick>{20, 30}));
-}
-
-TEST(EventQueue, TickObserverRemoval)
-{
-    EventQueue eq;
-    RecordingObserver obs;
-    eq.setTickObserver(&obs, 10);
-    eq.schedule(10, [] {});
-    eq.schedule(15, [&] { eq.setTickObserver(nullptr); });
-    eq.schedule(30, [] {});
-    eq.run();
-    EXPECT_FALSE(eq.hasTickObserver());
-    EXPECT_EQ(obs.boundaries, (std::vector<Tick>{10}));
-}
-
 // --- Calendar queue vs. reference heap (property test) ---
 //
 // The slotted near-window/far-heap queue must reproduce the exact
@@ -348,7 +263,6 @@ TEST(EventQueue, MatchesReferenceHeapOnRandomSchedules)
             referenceOrder(seed, n_roots);
         ASSERT_FALSE(ref.empty());
         EXPECT_EQ(real.order, ref) << "seed " << seed;
-        EXPECT_EQ(real.eq.nearPending(), 0u);
-        EXPECT_EQ(real.eq.farPending(), 0u);
+        EXPECT_TRUE(real.eq.empty());
     }
 }

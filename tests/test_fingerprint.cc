@@ -3,7 +3,7 @@
  * Behaviour fingerprint: the contract every refactor keeps.
  *
  * Each cell runs one (workload, machine) combination at reduced scale
- * and hashes the full spp-result-v1 payload (resultToJson: every
+ * and hashes the full spp-result-v2 payload (resultToJson: every
  * counter, average, breakdown array and the energy total). Host-side
  * event counts are zeroed first, so a change that schedules the same
  * modelled behaviour with fewer or more events keeps its fingerprint.

@@ -46,6 +46,14 @@ TEST(GroupEntry, CounterSaturates)
     EXPECT_EQ(e.counter(4), GroupEntry::counterMax);
 }
 
+TEST(GroupEntryDeathTest, TrainPastTheEntryDies)
+{
+    GroupEntry e(16);
+    e.train(CoreSet{15}, 1000);
+    EXPECT_DEATH(e.train(CoreSet{16}, 1000),
+                 "core 16 trained into a 16-core entry");
+}
+
 TEST(GroupEntry, TrainDownDecaysInactive)
 {
     GroupEntry e(16);

@@ -2,8 +2,9 @@
  * @file
  * Result-store tests: codec round-trip fidelity, cold-miss ->
  * populate -> warm-hit byte identity (at any worker count), key
- * invalidation on config/scale/git changes, corrupt and mismatched
- * entries rejected and re-simulated, and cacheability bypasses.
+ * invalidation on config/scale/git changes, corrupt, deeply nested
+ * and mismatched entries rejected and re-simulated, and cacheability
+ * bypasses.
  */
 
 #include <gtest/gtest.h>
@@ -230,6 +231,45 @@ TEST(ResultStore, CorruptEntryIsRejectedAndResimulated)
     const ExperimentResult redone = runExperiment("ocean", x);
     EXPECT_EQ(resultStoreStats().corrupt, 1u);
     EXPECT_EQ(resultStoreStats().hits, 0u);
+    EXPECT_EQ(render(redone), render(cold));
+
+    // The re-simulation overwrote the bad entry: warm again.
+    resultStoreStats().reset();
+    (void)runExperiment("ocean", x);
+    EXPECT_EQ(resultStoreStats().hits, 1u);
+}
+
+TEST(ResultStore, DeeplyNestedEntryIsCorruptNotACrash)
+{
+    QuietScope quiet;
+    TempDir dir("nested");
+    ExperimentConfig x = smallCell();
+    x.resultStore.dir = dir.str();
+    const ExperimentResult cold = runExperiment("ocean", x);
+
+    // Replace the one entry with nesting deep enough to overflow the
+    // stack of an unbounded recursive-descent parser.
+    std::string entry;
+    for (const auto &de :
+         std::filesystem::directory_iterator(dir.path))
+        entry = de.path().string();
+    ASSERT_FALSE(entry.empty());
+    {
+        std::ofstream out(entry, std::ios::binary | std::ios::trunc);
+        out << std::string(200000, '[');
+    }
+
+    resultStoreStats().reset();
+    setQuiet(false);
+    testing::internal::CaptureStderr();
+    const ExperimentResult redone = runExperiment("ocean", x);
+    const std::string log = testing::internal::GetCapturedStderr();
+    setQuiet(true);
+    EXPECT_EQ(resultStoreStats().corrupt, 1u);
+    EXPECT_EQ(resultStoreStats().hits, 0u);
+    EXPECT_NE(log.find("not a well-formed JSON document"),
+              std::string::npos)
+        << log;
     EXPECT_EQ(render(redone), render(cold));
 
     // The re-simulation overwrote the bad entry: warm again.

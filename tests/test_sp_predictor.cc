@@ -271,15 +271,3 @@ TEST_F(SpFixture, FixedStorageMatchesPaper)
     syncPoint(0, 1);
     EXPECT_GT(pred.storageBits(), 16 * per_core_bits);
 }
-
-TEST_F(SpFixture, MigrationRemapsPrediction)
-{
-    epochWith(0, 1, CoreSet{3});
-    syncPoint(0, 1); // Store the {3} signature (identity mapping).
-    // Thread 3 migrates to core 11 before the next instance.
-    pred.threadMap().migrate(3, 11);
-    syncPoint(0, 1); // Re-form the predictor under the new mapping.
-    Prediction p = pred.predict(query(0));
-    ASSERT_TRUE(p.valid());
-    EXPECT_EQ(p.targets, CoreSet{11});
-}

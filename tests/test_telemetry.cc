@@ -1,28 +1,25 @@
 /**
  * @file
- * Telemetry subsystem tests: JSON model round-trips, sampler cadence
- * on exact tick boundaries, disabled-mode inertness, Chrome-trace
+ * Telemetry subsystem tests: JSON model round-trips and the parser's
+ * nesting bound, disabled-mode inertness, Chrome-trace
  * well-formedness, manifest round-trips, and reconciliation of the
- * sampled series against end-of-run aggregates.
+ * trace's miss and sync instants against end-of-run aggregates.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "analysis/experiment.hh"
 #include "analysis/sweep.hh"
 #include "common/logging.hh"
-#include "event/event_queue.hh"
 #include "telemetry/chrome_trace.hh"
 #include "telemetry/json.hh"
 #include "telemetry/manifest.hh"
-#include "telemetry/metrics.hh"
 #include "telemetry/options.hh"
-#include "telemetry/sampler.hh"
 #include "telemetry/telemetry.hh"
 
 using namespace spp;
@@ -58,59 +55,22 @@ slurp(const std::string &path)
     return ss.str();
 }
 
-/** Parse the sampler CSV into (header, rows of doubles). */
-struct Csv
-{
-    std::vector<std::string> header;
-    std::vector<std::vector<double>> rows;
-};
-
-Csv
-parseCsv(const std::string &text)
-{
-    Csv csv;
-    std::istringstream is(text);
-    std::string line;
-    bool first = true;
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        std::istringstream ls(line);
-        std::string cell;
-        if (first) {
-            while (std::getline(ls, cell, ','))
-                csv.header.push_back(cell);
-            first = false;
-        } else {
-            std::vector<double> row;
-            while (std::getline(ls, cell, ','))
-                row.push_back(std::atof(cell.c_str()));
-            csv.rows.push_back(std::move(row));
-        }
-    }
-    return csv;
-}
-
-std::size_t
-column(const Csv &csv, const std::string &name)
-{
-    for (std::size_t i = 0; i < csv.header.size(); ++i)
-        if (csv.header[i] == name)
-            return i;
-    ADD_FAILURE() << "no CSV column '" << name << "'";
-    return 0;
-}
-
 ExperimentConfig
-telemetryConfig(const std::string &dir, Tick period = 200)
+telemetryConfig(const std::string &dir)
 {
     ExperimentConfig cfg;
     cfg.config.protocol = Protocol::predicted;
     cfg.config.predictor = PredictorKind::sp;
     cfg.scale = 0.3;
     cfg.telemetry.dir = dir;
-    cfg.telemetry.samplePeriod = period;
     return cfg;
+}
+
+/** @p depth nested arrays around one number: "[[[1]]]" at 3. */
+std::string
+nestedArrays(std::size_t depth)
+{
+    return std::string(depth, '[') + "1" + std::string(depth, ']');
 }
 
 } // namespace
@@ -177,129 +137,25 @@ TEST(Json, ParserRejectsMalformedInput)
     EXPECT_TRUE(Json::parse("  {\"a\": [1, 2]}  ").has_value());
 }
 
-// ---------------------------------------------------------------------
-// Sampler cadence
-// ---------------------------------------------------------------------
-
-TEST(Sampler, SamplesOnExactBoundaries)
+TEST(Json, ParserBoundsNestingDepth)
 {
-    Counter count;
-    MetricRegistry reg;
-    reg.addCounter("count", count);
-
-    EventQueue eq;
-    Sampler s(std::move(reg), 10);
-    s.attach(eq);
-    ASSERT_TRUE(eq.hasTickObserver());
-
-    eq.schedule(5, [&] { count += 1; });
-    // An event exactly on a boundary: the sample fires first, so the
-    // row at tick 10 must not include this increment.
-    eq.schedule(10, [&] { count += 1; });
-    eq.schedule(15, [] {}); // End the run off-boundary.
-    eq.run();
-    s.finalize();
-
-    const auto &rows = s.rows();
-    ASSERT_EQ(rows.size(), 3u);
-    EXPECT_EQ(rows[0].tick, 0u);
-    EXPECT_EQ(rows[0].values[0], 0.0);
-    EXPECT_EQ(rows[1].tick, 10u);
-    EXPECT_EQ(rows[1].values[0], 1.0);
-    EXPECT_EQ(rows[2].tick, 15u);
-    EXPECT_EQ(rows[2].values[0], 2.0);
-    EXPECT_FALSE(eq.hasTickObserver());
+    const std::size_t max = Json::maxParseDepth;
+    EXPECT_TRUE(Json::parse(nestedArrays(max)).has_value());
+    EXPECT_FALSE(Json::parse(nestedArrays(max + 1)).has_value());
+    // Objects count toward the same bound as arrays.
+    std::string objects;
+    for (std::size_t i = 0; i <= max; ++i)
+        objects += "{\"k\":";
+    objects += "1" + std::string(max + 1, '}');
+    EXPECT_FALSE(Json::parse(objects).has_value());
 }
 
-TEST(Sampler, CatchesUpAcrossSkippedBoundaries)
+TEST(Json, DeepNestingFailsWithoutCrashing)
 {
-    Counter count;
-    MetricRegistry reg;
-    reg.addCounter("count", count);
-
-    EventQueue eq;
-    Sampler s(std::move(reg), 10);
-    s.attach(eq);
-
-    eq.schedule(5, [&] { count += 1; });
-    // One event jumps over the 10, 20 and 30 boundaries: one row per
-    // boundary, all showing the same quiescent state.
-    eq.schedule(35, [&] { count += 1; });
-    eq.run();
-    s.finalize();
-
-    const auto &rows = s.rows();
-    ASSERT_EQ(rows.size(), 5u);
-    const Tick ticks[] = {0, 10, 20, 30, 35};
-    const double vals[] = {0, 1, 1, 1, 2};
-    for (std::size_t i = 0; i < 5; ++i) {
-        EXPECT_EQ(rows[i].tick, ticks[i]) << "row " << i;
-        EXPECT_EQ(rows[i].values[0], vals[i]) << "row " << i;
-    }
-}
-
-TEST(Sampler, FinalPartialIntervalIsRecordedOnce)
-{
-    Counter count;
-    MetricRegistry reg;
-    reg.addCounter("count", count);
-
-    EventQueue eq;
-    Sampler s(std::move(reg), 10);
-    s.attach(eq);
-    eq.schedule(20, [&] { count += 1; });
-    eq.run();
-
-    // The run ended exactly on a boundary: finalize() must not leave
-    // a duplicate row, and the final row must include the effect of
-    // the boundary-tick event (the in-run sample at tick 20 preceded
-    // it). finalize() is idempotent.
-    s.finalize();
-    s.finalize();
-    const auto &rows = s.rows();
-    ASSERT_EQ(rows.size(), 3u);
-    EXPECT_EQ(rows[1].tick, 10u);
-    EXPECT_EQ(rows[1].values[0], 0.0);
-    EXPECT_EQ(rows[2].tick, 20u);
-    EXPECT_EQ(rows[2].values[0], 1.0);
-}
-
-TEST(Sampler, DeltaAndGauges)
-{
-    Counter count;
-    double level = 3.0;
-    MetricRegistry reg;
-    reg.addCounter("count", count);
-    reg.addGauge("level", [&level] { return level; });
-    ASSERT_TRUE(reg.cumulative(0));
-    ASSERT_FALSE(reg.cumulative(1));
-
-    EventQueue eq;
-    Sampler s(std::move(reg), 10);
-    s.attach(eq);
-    eq.schedule(9, [&] { count += 4; level = 7.0; });
-    eq.schedule(19, [&] { count += 2; });
-    eq.schedule(21, [&] {});
-    eq.run();
-    s.finalize();
-
-    // Rows: 0, 10, 20, 21 (final partial).
-    ASSERT_EQ(s.rows().size(), 4u);
-    EXPECT_EQ(s.delta(1, 0), 4.0);
-    EXPECT_EQ(s.delta(2, 0), 2.0);
-    EXPECT_EQ(s.delta(3, 0), 0.0);
-    EXPECT_EQ(s.rows()[1].values[1], 7.0);
-
-    std::ostringstream os;
-    s.writeCsv(os);
-    const Csv csv = parseCsv(os.str());
-    ASSERT_EQ(csv.header.size(), 3u);
-    EXPECT_EQ(csv.header[0], "tick");
-    EXPECT_EQ(csv.header[1], "count");
-    EXPECT_EQ(csv.header[2], "level");
-    ASSERT_EQ(csv.rows.size(), 4u);
-    EXPECT_EQ(csv.rows[2][0], 20.0);
-    EXPECT_EQ(csv.rows[2][1], 6.0);
+    // Deep enough to overflow the stack of an unbounded
+    // recursive-descent parser.
+    EXPECT_FALSE(Json::parse(std::string(200000, '[')).has_value());
+    EXPECT_FALSE(Json::parse(nestedArrays(200000)).has_value());
 }
 
 // ---------------------------------------------------------------------
@@ -315,7 +171,6 @@ TEST(ChromeTrace, EmitsWellFormedDocument)
     args["staticId"] = Json(7);
     w.duration("barrier#7", "epoch", 0, 100, 250, std::move(args));
     w.instant("miss", "mem", 0, 120);
-    w.counter("mem.misses", 200, 3.0);
 
     std::ostringstream os;
     w.write(os);
@@ -324,8 +179,8 @@ TEST(ChromeTrace, EmitsWellFormedDocument)
     const Json *events = doc->find("traceEvents");
     ASSERT_TRUE(events != nullptr);
     ASSERT_TRUE(events->isArray());
-    // 2 metadata records + 3 events.
-    EXPECT_EQ(events->size(), 5u);
+    // 2 metadata records + 2 events.
+    EXPECT_EQ(events->size(), 4u);
 
     bool saw_duration = false;
     for (const Json &e : events->items()) {
@@ -373,37 +228,6 @@ TEST(ChromeTrace, ZeroEventRunIsStillWellFormed)
     EXPECT_EQ(events->size(), 0u);
     EXPECT_EQ(w.events(), 0u);
     EXPECT_EQ(w.dropped(), 0u);
-}
-
-TEST(ChromeTrace, CounterOnlyRunRoundTrips)
-{
-    // Counter tracks alone (no duration/instant events) — the shape
-    // the attribution epoch-annotator produces on runs whose event
-    // tracks are disabled.
-    ChromeTraceWriter w;
-    w.counter("attr.barrier#0x40.wasted_bytes", 100, 128.0);
-    w.counter("attr.barrier#0x40.wasted_bytes", 200, 0.0);
-    w.counter("attr.barrier#0x40.noc_bytes", 200, 4096.0);
-
-    std::ostringstream os;
-    w.write(os);
-    const auto doc = Json::parse(os.str());
-    ASSERT_TRUE(doc.has_value());
-    const Json *events = doc->find("traceEvents");
-    ASSERT_TRUE(events != nullptr);
-    ASSERT_EQ(events->size(), 3u);
-    for (const Json &e : events->items()) {
-        EXPECT_EQ(e.find("ph")->asString(), "C");
-        const Json *args = e.find("args");
-        ASSERT_TRUE(args != nullptr);
-        ASSERT_TRUE(args->find("value") != nullptr);
-    }
-    // Zero-valued samples survive the round-trip (they terminate a
-    // spike in the viewer; dropping them would hold the last value).
-    bool saw_zero = false;
-    for (const Json &e : events->items())
-        saw_zero |= e.find("args")->find("value")->asNumber() == 0.0;
-    EXPECT_TRUE(saw_zero);
 }
 
 TEST(ChromeTrace, ZeroWidthDurationRoundTrips)
@@ -471,26 +295,6 @@ TEST(TelemetryOptions, SanitizeFileLabel)
     EXPECT_EQ(sanitizeFileLabel("a b:c"), "a_b_c");
 }
 
-TEST(TelemetryOptions, PeriodFromEnvironment)
-{
-    setenv("SPP_TELEMETRY_PERIOD", "12", 1);
-    EXPECT_EQ(TelemetryOptions::fromEnv().samplePeriod, 12u);
-    unsetenv("SPP_TELEMETRY_PERIOD");
-}
-
-TEST(TelemetryOptionsDeathTest, BadPeriodDiesNamingIt)
-{
-    testing::GTEST_FLAG(death_test_style) = "threadsafe";
-    for (const char *bad : {"12x", "abc", "0", "-5"})
-        EXPECT_EXIT(
-            {
-                setenv("SPP_TELEMETRY_PERIOD", bad, 1);
-                TelemetryOptions::fromEnv();
-            },
-            testing::ExitedWithCode(1), "SPP_TELEMETRY_PERIOD")
-            << bad;
-}
-
 // ---------------------------------------------------------------------
 // Disabled mode
 // ---------------------------------------------------------------------
@@ -506,8 +310,7 @@ TEST(Telemetry, DisabledModeIsInert)
     CmpSystem sys(cfg);
     rt.attach(sys);
     EXPECT_FALSE(rt.attached());
-    EXPECT_FALSE(sys.eventQueue().hasTickObserver());
-    EXPECT_EQ(rt.sampler(), nullptr);
+    EXPECT_FALSE(sys.accessObserver());
     EXPECT_EQ(rt.trace(), nullptr);
     rt.finish(RunResult{}); // Must be a no-op, not a crash.
 }
@@ -523,7 +326,6 @@ TEST(Telemetry, DisabledRunMatchesObservedRun)
     plain.scale = 0.3;
     ExperimentConfig observed = plain;
     observed.telemetry.dir = dir;
-    observed.telemetry.samplePeriod = 100;
 
     const ExperimentResult a = runExperiment("fft", plain);
     const ExperimentResult b = runExperiment("fft", observed);
@@ -541,59 +343,12 @@ TEST(Telemetry, DisabledRunMatchesObservedRun)
 // End-to-end sidecars
 // ---------------------------------------------------------------------
 
-TEST(Telemetry, SeriesReconcilesWithAggregates)
-{
-    QuietScope quiet;
-    const std::string dir = scratchDir("series");
-    const ExperimentResult res =
-        runExperiment("fft", telemetryConfig(dir));
-
-    const Csv csv = parseCsv(slurp(dir + "/fft.series.csv"));
-    ASSERT_GE(csv.rows.size(), 2u);
-    ASSERT_EQ(csv.header[0], "tick");
-    const auto &last = csv.rows.back();
-    EXPECT_EQ(last[column(csv, "mem.accesses")],
-              static_cast<double>(res.run.mem.accesses.value()));
-    EXPECT_EQ(last[column(csv, "mem.misses")],
-              static_cast<double>(res.run.mem.misses.value()));
-    EXPECT_EQ(last[column(csv, "mem.comm_misses")],
-              static_cast<double>(
-                  res.run.mem.communicatingMisses.value()));
-    EXPECT_EQ(last[column(csv, "noc.flit_bytes")],
-              static_cast<double>(res.run.noc.flitBytes.value()));
-    EXPECT_EQ(last[column(csv, "sync.sync_points")],
-              static_cast<double>(res.run.sync.syncPoints.value()));
-    EXPECT_EQ(last[column(csv, "sp.epochs")],
-              static_cast<double>(res.run.sp.epochsStarted.value()));
-    // The final row is stamped with the end-of-run tick.
-    EXPECT_EQ(last[0], static_cast<double>(res.run.ticks));
-
-    // Per-core columns sum to the aggregate.
-    double core_misses = 0.0;
-    for (std::size_t i = 0; i < csv.header.size(); ++i) {
-        if (csv.header[i].find("mem.core") == 0 &&
-            csv.header[i].find(".misses") != std::string::npos) {
-            core_misses += last[i];
-        }
-    }
-    EXPECT_EQ(core_misses,
-              static_cast<double>(res.run.mem.misses.value()));
-
-    // Monotonic cumulative columns.
-    const std::size_t misses_col = column(csv, "mem.misses");
-    for (std::size_t r = 1; r < csv.rows.size(); ++r)
-        EXPECT_GE(csv.rows[r][misses_col],
-                  csv.rows[r - 1][misses_col]);
-    fs::remove_all(dir);
-}
-
 TEST(Telemetry, TraceParsesBackAndHasEpochTracks)
 {
     QuietScope quiet;
     const std::string dir = scratchDir("trace");
     const ExperimentResult res =
         runExperiment("fft", telemetryConfig(dir));
-    (void)res;
 
     const auto doc = Json::parse(slurp(dir + "/fft.trace.json"));
     ASSERT_TRUE(doc.has_value());
@@ -601,25 +356,42 @@ TEST(Telemetry, TraceParsesBackAndHasEpochTracks)
     ASSERT_TRUE(events != nullptr && events->isArray());
     ASSERT_GT(events->size(), 0u);
 
-    std::size_t epochs = 0, instants = 0, counters = 0, meta = 0;
+    std::size_t epochs = 0, misses = 0, comm_misses = 0, syncs = 0,
+                meta = 0, other = 0;
     for (const Json &e : events->items()) {
         const std::string &ph = e.find("ph")->asString();
-        if (ph == "X" && e.find("cat") != nullptr &&
-            e.find("cat")->asString() == "epoch") {
+        const std::string cat =
+            e.find("cat") != nullptr ? e.find("cat")->asString() : "";
+        if (ph == "X" && cat == "epoch") {
             ++epochs;
             EXPECT_GE(e.find("dur")->asNumber(), 0.0);
-        } else if (ph == "i") {
-            ++instants;
-        } else if (ph == "C") {
-            ++counters;
+        } else if (ph == "i" && cat == "mem") {
+            ++misses;
+            if (e.find("name")->asString() == "comm miss")
+                ++comm_misses;
+        } else if (ph == "i" && cat == "sync") {
+            ++syncs;
         } else if (ph == "M") {
             ++meta;
+        } else {
+            ++other; // No counter tracks or stray event kinds.
         }
     }
+    // Every miss and sync point is on the timeline, once.
+    EXPECT_EQ(misses, res.run.mem.misses.value());
+    EXPECT_EQ(comm_misses, res.run.mem.communicatingMisses.value());
+    EXPECT_EQ(syncs, res.run.sync.syncPoints.value());
     EXPECT_GT(epochs, 0u);
-    EXPECT_GT(instants, 0u);
-    EXPECT_GT(counters, 0u);
+    EXPECT_EQ(other, 0u);
     EXPECT_GT(meta, 0u); // process_name + per-core thread_name.
+
+    const auto m = RunManifest::read(dir + "/fft.manifest.json");
+    ASSERT_TRUE(m.has_value());
+    const Json *files = m->find("telemetry");
+    ASSERT_TRUE(files != nullptr);
+    EXPECT_EQ(files->find("epochs")->asNumber(),
+              static_cast<double>(epochs));
+    EXPECT_EQ(files->find("trace_dropped")->asNumber(), 0.0);
     fs::remove_all(dir);
 }
 
@@ -662,21 +434,24 @@ TEST(Telemetry, SweepWritesPerJobSidecarsAndAggregateManifest)
     };
     runSweep(jobs, 2);
 
-    std::size_t manifests = 0, series = 0;
+    // Two sidecars per job plus the sweep manifest, nothing else.
+    std::size_t manifests = 0, traces = 0;
     bool sweep_manifest = false;
     for (const auto &entry : fs::directory_iterator(dir)) {
         const std::string name = entry.path().filename().string();
-        if (name.find("sweep") == 0 &&
-            name.find(".manifest.json") != std::string::npos) {
+        if (name.starts_with("sweep") &&
+            name.ends_with(".manifest.json")) {
             sweep_manifest = true;
-        } else if (name.find(".manifest.json") != std::string::npos) {
+        } else if (name.ends_with(".manifest.json")) {
             ++manifests;
-        } else if (name.find(".series.csv") != std::string::npos) {
-            ++series;
+        } else if (name.ends_with(".trace.json")) {
+            ++traces;
+        } else {
+            ADD_FAILURE() << "unexpected sidecar " << name;
         }
     }
     EXPECT_EQ(manifests, 2u);
-    EXPECT_EQ(series, 2u);
+    EXPECT_EQ(traces, 2u);
     EXPECT_TRUE(sweep_manifest);
 
     const auto m = RunManifest::read(dir + "/sweep.manifest.json");
