@@ -771,8 +771,10 @@ MemSys::hashState(StateHasher &h) const
     for (unsigned c = 0; c < n_cores_; ++c) {
         StateHasher core;
         core.mix(c);
-        // Cache arrays enumerate valid lines in set/way order, which
-        // is a function of contents only — safe to fold ordered.
+        // Cache arrays enumerate valid lines in set/way order. Way
+        // order follows the history of fills and invalidations, not
+        // contents only, so the same lines in other ways hash apart:
+        // pruning may miss that revisit but never merges two states.
         // lastPc is deliberately excluded: it feeds only predictor
         // training (excluded by design, see hashState's declaration).
         l2_[c]->forEachValid([&](const CacheLine &l) {

@@ -49,7 +49,7 @@ CoreSet::toHex() const
         }
     }
     if (s.empty())
-        s = "0";
+        s.push_back('0');
     return s;
 }
 

@@ -17,7 +17,7 @@ CacheArray::CacheArray(unsigned size_bytes, unsigned assoc,
                "cache size {} not divisible into {}-way sets",
                size_bytes, assoc);
     n_sets_ = static_cast<unsigned>(size_bytes / set_bytes);
-    sets_.resize(n_sets_);
+    sets_.assign(n_sets_, CacheLine::endOfSet);
 }
 
 std::size_t
@@ -44,13 +44,12 @@ CacheArray::lookup(Addr line_addr)
 const CacheLine *
 CacheArray::peek(Addr line_addr) const
 {
-    const CacheLine *ways = sets_[setOf(line_addr)].get();
-    if (!ways)
-        return nullptr;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        const CacheLine &line = ways[w];
+    for (std::uint32_t w = sets_[setOf(line_addr)];
+         w != CacheLine::endOfSet;) {
+        const CacheLine &line = way(w);
         if (isValid(line.state) && line.tag == line_addr)
             return &line;
+        w = line.next;
     }
     return nullptr;
 }
@@ -59,12 +58,13 @@ CacheLine *
 CacheArray::allocate(Addr line_addr, CacheLine &victim)
 {
     victim = CacheLine{};
-    auto &ways = sets_[setOf(line_addr)];
-    if (!ways)
-        ways = std::make_unique<CacheLine[]>(assoc_);
+    // First invalid way, else a new way, else the LRU one: a set holds
+    // the ways a dense array's first-invalid-else-LRU rule fills.
+    std::uint32_t *link = &sets_[setOf(line_addr)];
+    unsigned held = 0;
     CacheLine *target = nullptr;
-    for (unsigned w = 0; w < assoc_; ++w) {
-        CacheLine &line = ways[w];
+    for (; *link != CacheLine::endOfSet; ++held) {
+        CacheLine &line = way(*link);
         SPP_ASSERT(!isValid(line.state) || line.tag != line_addr,
                    "allocate of already-present line {}",
                    line_addr);
@@ -74,6 +74,13 @@ CacheArray::allocate(Addr line_addr, CacheLine &victim)
         }
         if (!target || line.lru < target->lru)
             target = &line;
+        link = &line.next;
+    }
+    if (*link == CacheLine::endOfSet && held < assoc_) {
+        if (ways_taken_ % chunkLines == 0)
+            chunks_.push_back(std::make_unique<CacheLine[]>(chunkLines));
+        *link = ways_taken_++;
+        target = &way(*link);
     }
     if (isValid(target->state)) {
         victim = *target;

@@ -6,9 +6,9 @@
  * values in a separate logical memory for checking); it is used for
  * both the L1 filter cache and the private L2.
  *
- * Storage is sparse: a set's ways exist only after the first
- * allocate() into it, so host memory and construction time follow
- * the sets a run touches rather than the modelled capacity.
+ * Storage is sparse: a way exists only once allocate() fills it, so
+ * host memory and construction time follow the lines a run holds
+ * rather than the modelled capacity.
  */
 
 #ifndef SPP_MEM_CACHE_ARRAY_HH
@@ -29,13 +29,18 @@ namespace spp {
 /** One cache line's bookkeeping. */
 struct CacheLine
 {
+    /** next of a set's last way; CacheArray's head of an empty set. */
+    static constexpr std::uint32_t endOfSet = ~std::uint32_t{0};
     Addr tag = 0;               ///< Full line address (not truncated).
     Mesif state = Mesif::invalid;
+    /** CacheArray's next way in this line's set. */
+    std::uint32_t next = endOfSet;
     std::uint64_t lru = 0;      ///< Higher = more recently used.
     Pc lastPc = 0;              ///< Instruction that last missed here
                                 ///< (INST predictor training).
     std::uint64_t version = 0;  ///< Logical data version (checker).
 };
+static_assert(sizeof(CacheLine) == 40, "next sits in state's padding");
 
 /** Statistics for one cache array. */
 struct CacheStats
@@ -50,9 +55,10 @@ struct CacheStats
 /**
  * Set-associative array of CacheLine records indexed by line address.
  *
- * A set's ways are allocated on its first allocate() and never move,
- * so a CacheLine pointer stays valid for the array's lifetime. Probes
- * of a never-allocated set miss without allocating.
+ * Each set chains up to assoc ways, taken one at a time as fills need
+ * them from a slab of fixed 64-line chunks that never move, so a
+ * CacheLine pointer stays valid for the array's lifetime. Probes of
+ * an empty set miss without allocating.
  */
 class CacheArray
 {
@@ -112,23 +118,33 @@ class CacheArray
     void
     forEachValid(Fn &&fn) const
     {
-        for (const auto &ways : sets_)
-            if (ways)
-                for (unsigned w = 0; w < assoc_; ++w)
-                    if (isValid(ways[w].state))
-                        fn(ways[w]);
+        for (std::uint32_t head : sets_)
+            for (std::uint32_t w = head; w != CacheLine::endOfSet;
+                 w = way(w).next)
+                if (isValid(way(w).state))
+                    fn(way(w));
     }
 
   private:
+    static constexpr unsigned chunkLines = 64; ///< Lines per slab chunk.
     std::size_t setOf(Addr line_addr) const;
+
+    CacheLine &
+    way(std::uint32_t w) const
+    {
+        return chunks_[w / chunkLines][w % chunkLines];
+    }
 
     unsigned n_sets_;
     unsigned assoc_;
     unsigned line_bytes_;
     unsigned line_shift_;
     std::uint64_t next_lru_ = 1;
-    /** Each set's ways; null until the set's first allocate(). */
-    std::vector<std::unique_ptr<CacheLine[]>> sets_;
+    /** Each set's first way; CacheLine::endOfSet while empty. */
+    std::vector<std::uint32_t> sets_;
+    /** The ways, numbered in the order allocate() took them. */
+    std::vector<std::unique_ptr<CacheLine[]>> chunks_;
+    std::uint32_t ways_taken_ = 0;
     CacheStats stats_;
 };
 

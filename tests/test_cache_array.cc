@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/config.hh"
+#include "common/rng.hh"
 #include "mem/address_map.hh"
 #include "mem/cache_array.hh"
 
@@ -125,22 +130,28 @@ TEST(CacheArray, UntouchedSetMisses)
 
 TEST(CacheArray, LinesStayPutAsSetsAreAllocated)
 {
-    // The paper's L2: 1 MB, 8-way, 64 B lines -> 2048 sets.
+    // The paper's L2: 1 MB, 8-way, 64 B lines -> 2048 sets. Set 0's
+    // eight ways are filled one at a time, 2048 lines apart.
     CacheArray c(1 << 20, 8, 64);
     CacheLine victim;
-    CacheLine *first = c.allocate(0x0, victim);
-    first->state = Mesif::modified;
-    first->version = 42;
-    first->lastPc = 0x1234;
+    CacheLine *ways[8];
+    for (unsigned w = 0; w < 8; ++w) {
+        ways[w] = c.allocate(Addr{w} * 2048 * 64, victim);
+        ways[w]->state = Mesif::modified;
+        ways[w]->version = 42 + w;
+        ways[w]->lastPc = 0x1234 + w;
+    }
     for (Addr set = 1; set < 2048; ++set)
         c.allocate(set * 64, victim)->state = Mesif::shared;
-    EXPECT_EQ(c.validCount(), 2048u);
-    const CacheLine *again = c.peek(0x0);
-    ASSERT_EQ(again, first);
-    EXPECT_EQ(again->tag, 0x0u);
-    EXPECT_EQ(again->state, Mesif::modified);
-    EXPECT_EQ(again->version, 42u);
-    EXPECT_EQ(again->lastPc, 0x1234u);
+    EXPECT_EQ(c.validCount(), 2047u + 8);
+    for (unsigned w = 0; w < 8; ++w) {
+        const CacheLine *again = c.peek(Addr{w} * 2048 * 64);
+        ASSERT_EQ(again, ways[w]) << "way " << w;
+        EXPECT_EQ(again->tag, Addr{w} * 2048 * 64);
+        EXPECT_EQ(again->state, Mesif::modified);
+        EXPECT_EQ(again->version, 42u + w);
+        EXPECT_EQ(again->lastPc, 0x1234u + w);
+    }
 }
 
 TEST(CacheArray, NonPowerOfTwoSetCount)
@@ -177,6 +188,209 @@ TEST(CacheArray, DeathOnWrappingGeometry)
 {
     // 64 * 2^26 is 2^32: a 32-bit product wraps to 0 (SIGFPE).
     EXPECT_DEATH({ CacheArray c(16 * 1024, 67108864, 64); }, "sets");
+}
+
+namespace {
+
+/**
+ * The dense array, kept as CacheArray's reference: every set holds
+ * all assoc ways from the start, and allocate takes the first invalid
+ * way, else the least lru.
+ */
+struct DenseCache
+{
+    DenseCache(unsigned size_bytes, unsigned assoc, unsigned line_bytes)
+        : assoc(assoc), lineBytes(line_bytes), ways(size_bytes / line_bytes)
+    {
+    }
+
+    CacheLine *
+    set(Addr line_addr)
+    {
+        return &ways[line_addr / lineBytes % (ways.size() / assoc) * assoc];
+    }
+
+    CacheLine *
+    find(Addr line_addr)
+    {
+        CacheLine *s = set(line_addr);
+        for (unsigned w = 0; w < assoc; ++w)
+            if (isValid(s[w].state) && s[w].tag == line_addr)
+                return &s[w];
+        return nullptr;
+    }
+
+    CacheLine *
+    lookup(Addr line_addr)
+    {
+        ++counters[0];
+        CacheLine *line = find(line_addr);
+        ++counters[line ? 1 : 2]; // Hits, misses.
+        if (line)
+            line->lru = nextLru++;
+        return line;
+    }
+
+    CacheLine *
+    allocate(Addr line_addr, CacheLine &victim)
+    {
+        victim = CacheLine{};
+        CacheLine *s = set(line_addr);
+        CacheLine *target = nullptr;
+        for (unsigned w = 0; w < assoc; ++w) {
+            if (!isValid(s[w].state)) {
+                target = &s[w];
+                break;
+            }
+            if (!target || s[w].lru < target->lru)
+                target = &s[w];
+        }
+        if (isValid(target->state)) {
+            victim = *target;
+            ++counters[3];                         // Evictions.
+            counters[4] += isDirty(target->state); // Dirty ones.
+        }
+        target->tag = line_addr;
+        target->state = Mesif::invalid;
+        target->lru = nextLru++;
+        return target;
+    }
+
+    Mesif
+    invalidate(Addr line_addr)
+    {
+        CacheLine *line = find(line_addr);
+        if (!line)
+            return Mesif::invalid;
+        return std::exchange(line->state, Mesif::invalid);
+    }
+
+    unsigned assoc;
+    unsigned lineBytes;
+    std::vector<CacheLine> ways; ///< Set s holds ways[s * assoc...].
+    std::uint64_t nextLru = 1;
+    /** Lookups, hits, misses, evictions, dirty evictions. */
+    std::vector<std::uint64_t> counters = std::vector<std::uint64_t>(5);
+};
+
+/** What a caller sees of @p l (not the array's link); {} for none. */
+std::vector<std::uint64_t>
+fields(const CacheLine *l)
+{
+    if (!l)
+        return {};
+    return {l->tag, static_cast<std::uint64_t>(l->state), l->lru, l->lastPc,
+            l->version};
+}
+
+std::vector<std::uint64_t>
+counters(const CacheStats &s)
+{
+    return {s.lookups.value(), s.hits.value(), s.misses.value(),
+            s.evictions.value(), s.dirtyEvictions.value()};
+}
+
+/** The fields of every valid line, in forEachValid order. */
+std::vector<std::uint64_t>
+contents(const CacheArray &c)
+{
+    std::vector<std::uint64_t> out;
+    c.forEachValid([&](const CacheLine &l) {
+        const auto f = fields(&l);
+        out.insert(out.end(), f.begin(), f.end());
+    });
+    return out;
+}
+
+std::vector<std::uint64_t>
+contents(const DenseCache &d)
+{
+    std::vector<std::uint64_t> out;
+    for (const CacheLine &l : d.ways) {
+        if (isValid(l.state)) {
+            const auto f = fields(&l);
+            out.insert(out.end(), f.begin(), f.end());
+        }
+    }
+    return out;
+}
+
+/**
+ * Drive a CacheArray and the dense reference with the same seeded
+ * random lookups, peeks, allocations and invalidations, over a pool
+ * of lines three times the capacity, and compare after every one.
+ */
+void
+expectMatchesDense(unsigned size_bytes, unsigned assoc,
+                   unsigned line_bytes, std::uint64_t seed)
+{
+    CacheArray sparse(size_bytes, assoc, line_bytes);
+    DenseCache dense(size_bytes, assoc, line_bytes);
+    Rng rng(seed);
+    const unsigned lines = size_bytes / line_bytes;
+    // Enough to fill and churn the largest array, not only touch it.
+    const unsigned ops = std::max(10'000u, 12 * lines);
+    constexpr Mesif valid[] = {Mesif::shared, Mesif::forwarding,
+                               Mesif::exclusive, Mesif::modified};
+    for (unsigned op = 1; op <= ops; ++op) {
+        const Addr addr = rng.below(3 * lines) * line_bytes;
+        switch (rng.below(4)) {
+          case 0: { // A hit may change the line's state.
+            CacheLine *got = sparse.lookup(addr);
+            CacheLine *want = dense.lookup(addr);
+            ASSERT_EQ(fields(got), fields(want)) << "lookup, op " << op;
+            if (want)
+                got->state = want->state = valid[rng.below(4)];
+            break;
+          }
+          case 1:
+            ASSERT_EQ(fields(sparse.peek(addr)), fields(dense.find(addr)))
+                << "peek, op " << op;
+            break;
+          case 2: {
+            if (dense.find(addr))
+                break;
+            CacheLine got_victim, want_victim;
+            CacheLine *got = sparse.allocate(addr, got_victim);
+            CacheLine *want = dense.allocate(addr, want_victim);
+            ASSERT_EQ(fields(got), fields(want)) << "allocate, op " << op;
+            ASSERT_EQ(fields(&got_victim), fields(&want_victim))
+                << "victim, op " << op;
+            got->state = want->state = valid[rng.below(4)];
+            got->version = want->version = rng.next();
+            got->lastPc = want->lastPc = rng.next();
+            break;
+          }
+          default:
+            ASSERT_EQ(sparse.invalidate(addr), dense.invalidate(addr))
+                << "invalidate, op " << op;
+        }
+        ASSERT_EQ(counters(sparse.stats()), dense.counters) << "op " << op;
+        if (op % 1000 == 0) {
+            ASSERT_EQ(contents(sparse), contents(dense)) << "op " << op;
+        }
+    }
+    EXPECT_EQ(contents(sparse), contents(dense));
+}
+
+} // namespace
+
+TEST(CacheArray, MatchesDenseReference)
+{
+    // Two direct-mapped sets; three sets (not a power of two); the
+    // model checker's L2; the paper's L1; the paper's L2.
+    const std::array<unsigned, 3> geometries[] = {
+        {128, 1, 64},       {384, 2, 64},   {256, 2, 64},
+        {16 * 1024, 1, 64}, {1 << 20, 8, 64},
+    };
+    std::uint64_t seed = 1;
+    for (const auto &[size, assoc, line] : geometries) {
+        SCOPED_TRACE(testing::Message() << size << " B, " << assoc
+                                        << "-way, seed " << seed);
+        expectMatchesDense(size, assoc, line, seed++);
+        if (HasFatalFailure())
+            return;
+    }
 }
 
 // --- Address map ---

@@ -281,7 +281,9 @@ TEST_P(CoreSetVsBitset, RandomOpsMatchReference)
 INSTANTIATE_TEST_SUITE_P(WordBoundaries, CoreSetVsBitset,
                          ::testing::Values(63u, 64u, 65u, 128u, 1024u),
                          [](const auto &info) {
-                             return "n" + std::to_string(info.param);
+                             std::string name = "n";
+                             name += std::to_string(info.param);
+                             return name;
                          });
 
 TEST(CoreSet, EqualAcrossWordCounts)

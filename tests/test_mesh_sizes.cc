@@ -111,9 +111,12 @@ INSTANTIATE_TEST_SUITE_P(
         SizeParam{256, 16, 16, SharerFormat::coarse},
         SizeParam{256, 16, 16, SharerFormat::limited}),
     [](const auto &info) {
-        std::string name = "c" + std::to_string(info.param.cores) +
-            "x" + std::to_string(info.param.x) + "_" +
-            toString(info.param.fmt);
+        std::string name = "c";
+        name += std::to_string(info.param.cores);
+        name += "x";
+        name += std::to_string(info.param.x);
+        name += "_";
+        name += toString(info.param.fmt);
         return name;
     });
 

@@ -1,12 +1,12 @@
 /**
  * @file
- * Steady-state allocation tests: a thread's ops, and the misses they
- * cause, must not allocate.
+ * Allocation tests: a thread's ops, and the misses they cause, must
+ * not allocate, and a cache array holds only the ways it fills.
  *
- * Global operator new is replaced by a counting version. Two runs
- * differ only in how many iterations of a loop each core performs,
- * so every allocation that scales with the op count shows up as the
- * difference between them.
+ * Global operator new is replaced by a version that counts calls and
+ * sums the bytes requested. Two runs differ only in how many
+ * iterations of a loop each core performs, so every allocation that
+ * scales with the op count shows up as the difference between them.
  */
 
 #include <gtest/gtest.h>
@@ -17,11 +17,13 @@
 #include <new>
 #include <utility>
 
+#include "mem/cache_array.hh"
 #include "sim/cmp_system.hh"
 
 namespace {
 
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
 } // namespace
 
@@ -29,18 +31,22 @@ void *
 operator new(std::size_t bytes)
 {
     g_allocations.fetch_add(1, std::memory_order_relaxed);
+    g_bytes.fetch_add(bytes, std::memory_order_relaxed);
     if (void *p = std::malloc(bytes == 0 ? 1 : bytes))
         return p;
     throw std::bad_alloc();
 }
 
-void
+// Not inlined: GCC 12 inlines the counting operator new less readily
+// than these, and where it inlines only a delete (gtest's `new
+// TestClass`) it warns that free() gets an operator new pointer.
+[[gnu::noinline]] void
 operator delete(void *p) noexcept
 {
     std::free(p);
 }
 
-void
+[[gnu::noinline]] void
 operator delete(void *p, std::size_t) noexcept
 {
     std::free(p);
@@ -128,4 +134,18 @@ TEST(OpAllocations, SteadyStateMissesDoNotAllocate)
             << ": 1,100 iterations: " << shorter
             << " allocations; 2,100 iterations: " << longer;
     }
+}
+
+TEST(OpAllocations, CacheSetsHoldOnlyTheWaysTheyFill)
+{
+    // The paper's L2: 1 MB, 8-way, 64 B lines -> 2,048 sets. One line
+    // in every set must cost about one way, not the set's eight.
+    const std::uint64_t before = g_bytes.load();
+    CacheArray l2(1 << 20, 8, 64);
+    CacheLine victim;
+    for (Addr set = 0; set < 2048; ++set)
+        l2.allocate(set * 64, victim)->state = Mesif::shared;
+    const std::uint64_t bytes = g_bytes.load() - before;
+    EXPECT_LT(bytes, 2 * 2048 * sizeof(CacheLine) + 32 * 1024)
+        << "2,048 lines in 2,048 sets allocated " << bytes << " B";
 }
