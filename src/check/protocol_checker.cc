@@ -259,9 +259,8 @@ ProtocolChecker::checkQuiescent()
     // lint: allow(unordered-iter) — collected, then sorted below.
     for (const auto &[line, ver] : max_seen_)
         lines.push_back(line);
-    // lint: allow(unordered-iter) — collected, then sorted below.
-    for (const auto &[line, ver] : mem_.mem_version_)
-        lines.push_back(line);
+    mem_.mem_version_.forEach(
+        [&lines](Addr line, std::uint64_t) { lines.push_back(line); });
     std::sort(lines.begin(), lines.end());
     lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
     for (Addr line : lines)

@@ -25,6 +25,7 @@
 #ifndef SPP_COHERENCE_LINE_LOCK_HH
 #define SPP_COHERENCE_LINE_LOCK_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -49,7 +50,9 @@ struct TxnKey
  * Home-side per-line lock table with a FIFO wait queue. Entries live
  * in a PooledMap: a lock taken and released on every miss reuses a
  * pool slot, and the slot keeps its wait queue's capacity, so the
- * miss path allocates nothing once the table has warmed up.
+ * miss path allocates nothing once the table has warmed up. A queue
+ * drops its consumed prefix once that is half of it, so it holds at
+ * most about twice the waiters it ever had at once.
  */
 class LineLockTable
 {
@@ -124,6 +127,14 @@ class LineLockTable
             // contention burst on this line.
             e->waiters.clear();
             e->head = 0;
+        } else if (e->head * 2 >= e->waiters.size()) {
+            // Half consumed: drop the consumed prefix, so contention
+            // that never drains holds about twice its waiters, not
+            // one entry per hand-off.
+            e->waiters.erase(e->waiters.begin(),
+                             e->waiters.begin() +
+                                 static_cast<std::ptrdiff_t>(e->head));
+            e->head = 0;
         }
         e->holder = next.key;
         next.resume();
@@ -172,7 +183,9 @@ class LineLockTable
     };
 
     /** FIFO wait queue drained via a head cursor (vector instead of
-     * deque: no allocation on construction, capacity reuse). */
+     * deque: no allocation on construction, capacity reuse). Entries
+     * before head are consumed; release() erases them when the queue
+     * drains or when they are at least half of it. */
     struct Entry
     {
         TxnKey holder;

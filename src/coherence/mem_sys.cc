@@ -1,5 +1,7 @@
 #include "coherence/mem_sys.hh"
 
+#include <unordered_map>
+
 #include "check/protocol_checker.hh"
 #include "coherence/directory_protocol.hh"
 #include "coherence/snoop_protocol.hh"
@@ -713,14 +715,14 @@ MemSys::memAccessLatency(Addr line)
 std::uint64_t
 MemSys::memVersion(Addr line) const
 {
-    auto it = mem_version_.find(line);
-    return it == mem_version_.end() ? 0 : it->second;
+    const std::uint64_t *v = mem_version_.find(line);
+    return v == nullptr ? 0 : *v;
 }
 
 void
 MemSys::depositMemVersion(Addr line, std::uint64_t version)
 {
-    std::uint64_t &v = mem_version_[line];
+    std::uint64_t &v = mem_version_.findOrInsert(line);
     if (version > v)
         v = version;
 }
@@ -805,13 +807,14 @@ MemSys::hashState(StateHasher &h) const
         h.mix(core.value());
     }
     locks_.hashInto(h);
-    // lint: allow(unordered-iter) — commutative fold.
-    for (const auto &[line, v] : mem_version_) {
+    // PooledMap iteration order depends on insertion history, so
+    // memory versions fold commutatively.
+    mem_version_.forEach([&h](Addr line, std::uint64_t v) {
         StateHasher sub;
         sub.mix(line);
         sub.mix(v);
         h.mixUnordered(sub.value());
-    }
+    });
     h.mix(version_counter_);
     h.mix(txn_counter_);
     h.mix(outstanding_wb_);

@@ -26,7 +26,6 @@
 #include <array>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "coherence/line_lock.hh"
@@ -499,7 +498,7 @@ class MemSys
 
     std::uint64_t version_counter_ = 0;
     std::uint64_t txn_counter_ = 0;
-    std::unordered_map<Addr, std::uint64_t> mem_version_;
+    PooledMap<std::uint64_t> mem_version_;
     std::uint64_t outstanding_wb_ = 0;
     ProtocolChecker *checker_ = nullptr;
     DeliveryScheduler *delivery_scheduler_ = nullptr;

@@ -1,6 +1,15 @@
 #include "event/event_queue.hh"
 
-// EventQueue is header-only; this translation unit exists so the
-// module has an object file and a place for future out-of-line code.
 namespace spp {
+
+void
+EventQueue::addChunk()
+{
+    chunks_.push_back(std::make_unique<Node[]>(chunkNodes));
+    Node *chunk = chunks_.back().get();
+    for (std::size_t i = 0; i + 1 < chunkNodes; ++i)
+        chunk[i].next = &chunk[i + 1];
+    free_ = chunk;
+}
+
 } // namespace spp

@@ -14,6 +14,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/inline_fn.hh"
@@ -28,10 +29,12 @@ namespace spp {
  * [curTick(), curTick() + windowSlots), with a binary-heap overflow
  * for far-future events. Nearly every event in a coherence run is a
  * short latency hop (cache/dir/link delays of a few dozen ticks), so
- * the common schedule() is a bump into a slot vector and the common
- * step() is a pop from the current slot — both O(1) and, in steady
- * state, allocation-free. Actions are InlineFn, so the closure lives
- * inside the slot entry instead of behind a per-event heap pointer.
+ * the common schedule() links a pooled node at a slot's tail and the
+ * common step() runs the current slot's head in place — both O(1).
+ * Nodes come from 64-node chunks that never move and return to a
+ * LIFO freelist, so the queue holds about as many nodes as events
+ * were ever pending at once and, in steady state, allocates nothing.
+ * Actions are InlineFn, so a closure lives and runs inside its node.
  *
  * Determinism contract (same as the old pure heap): events fire in
  * ascending (when, seq) order, seq being global insertion order, so
@@ -44,9 +47,12 @@ namespace spp {
  * due at T before the slot FIFO at T therefore reproduces the exact
  * global order without ever migrating entries between structures.
  *
- * The heap is managed explicitly (std::pop_heap over a vector):
- * extracting an event must fully remove it from the container
- * *before* running it, because the action may schedule new events.
+ * Extracting an event must fully remove it from its container
+ * *before* running it, because the action may schedule new events:
+ * the heap is managed explicitly (std::pop_heap over a vector), and
+ * a running action's node is unlinked from its slot and stays off
+ * the freelist until the action returns, so no schedule() made by
+ * the action can reuse it.
  */
 class EventQueue
 {
@@ -54,8 +60,7 @@ class EventQueue
     /**
      * Inline capacity for event closures. The fattest kernel closure
      * is the L2-miss continuation (core, line, pc and issue-time
-     * context: 56 B), but a 56-byte capacity measured slower machine
-     * set-up on snooping runs, so the slots keep 88. Anything bigger
+     * context: 56 B); capacity 88 makes a node 112 B. Anything bigger
      * fails to compile in schedule() rather than silently regressing
      * to heap allocation.
      */
@@ -74,7 +79,14 @@ class EventQueue
                    "schedule in the past: {} < {}", when, cur_tick_);
         if (when - cur_tick_ < windowSlots) {
             const std::size_t idx = when & windowMask;
-            slots_[idx].push_back(std::move(action));
+            Node *n = takeNode();
+            n->action = std::move(action);
+            Slot &slot = slots_[idx];
+            if (slot.head == nullptr)
+                slot.head = n;
+            else
+                slot.tail->next = n;
+            slot.tail = n;
             occupancy_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
         } else {
             far_.push_back(
@@ -115,31 +127,31 @@ class EventQueue
         const Tick now = nextEventTick();
         cur_tick_ = now;
 
+        --pending_;
         // Far entries due now were all scheduled before any slot
         // entry for this tick existed (see class comment), so they
         // run first; among themselves the heap yields (when, seq)
         // order.
-        Action action;
         if (!far_.empty() && far_.front().when == now) {
             std::pop_heap(far_.begin(), far_.end(), FarLater{});
-            action = std::move(far_.back().action);
+            Action action = std::move(far_.back().action);
             far_.pop_back();
+            action();
         } else {
-            Slot &slot = slots_[now & windowMask];
-            action = std::move(slot.fifo[slot.head]);
-            if (++slot.head == slot.fifo.size()) {
-                // Drained: recycle the vector's capacity and clear
-                // the occupancy bit. The action below may schedule
-                // back into this same slot; that re-sets the bit.
-                slot.fifo.clear();
-                slot.head = 0;
-                const std::size_t idx = now & windowMask;
+            const std::size_t idx = now & windowMask;
+            Slot &slot = slots_[idx];
+            Node *n = slot.head;
+            slot.head = n->next;
+            // Drained: clear the occupancy bit. The action below may
+            // schedule back into this same slot; that re-sets it.
+            if (slot.head == nullptr)
                 occupancy_[idx >> 6] &=
                     ~(std::uint64_t{1} << (idx & 63));
-            }
+            n->action();
+            n->action.reset();
+            n->next = free_;
+            free_ = n;
         }
-        --pending_;
-        action();
         ++executed_;
     }
 
@@ -187,8 +199,10 @@ class EventQueue
         const std::size_t base = cur_tick_ & windowMask;
         for (std::size_t k = 0; k < windowSlots; ++k) {
             const std::size_t idx = (base + k) & windowMask;
-            const Slot &slot = slots_[idx];
-            const std::size_t n = slot.fifo.size() - slot.head;
+            std::size_t n = 0;
+            for (const Node *e = slots_[idx].head; e != nullptr;
+                 e = e->next)
+                ++n;
             if (n == 0)
                 continue;
             // Far entries due at or before this slot tick precede it
@@ -221,20 +235,40 @@ class EventQueue
   private:
     static constexpr std::uint64_t windowMask = windowSlots - 1;
     static constexpr std::size_t occupancyWords = windowSlots / 64;
+    static constexpr std::size_t chunkNodes = 64;
 
-    /** One tick's FIFO: drained front-to-back via a head cursor so
-     * the vector (and its capacity) is reused tick after tick. */
+    /** One pending event: its closure, run in place, and the next
+     * node of its slot's FIFO (or of the freelist). */
+    struct Node
+    {
+        Action action;
+        Node *next = nullptr;
+    };
+
+    /** One tick's FIFO through Node::next; empty when head is null
+     * (tail is then stale). */
     struct Slot
     {
-        std::vector<Action> fifo;
-        std::size_t head = 0;
-
-        void
-        push_back(Action a)
-        {
-            fifo.push_back(std::move(a));
-        }
+        Node *head = nullptr;
+        Node *tail = nullptr;
     };
+
+    /** A node off the freelist, carving a new chunk when it is
+     * empty; its action is empty and its next is null. */
+    Node *
+    takeNode()
+    {
+        if (free_ == nullptr) [[unlikely]]
+            addChunk();
+        Node *n = free_;
+        free_ = n->next;
+        n->next = nullptr;
+        return n;
+    }
+
+    /** Carve a chunk of nodes onto the empty freelist. Out of line:
+     * inlined into every schedule() it ran snoop16 2% slower. */
+    void addChunk();
 
     struct FarEntry
     {
@@ -299,6 +333,10 @@ class EventQueue
 
     std::array<Slot, windowSlots> slots_;
     std::array<std::uint64_t, occupancyWords> occupancy_{};
+    /** Every node, pending or free: destroying them destroys each
+     * pending action once. A moved-from queue may only be destroyed. */
+    std::vector<std::unique_ptr<Node[]>> chunks_;
+    Node *free_ = nullptr;
     std::vector<FarEntry> far_;
     std::size_t pending_ = 0;
     Tick cur_tick_ = 0;

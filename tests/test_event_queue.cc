@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -145,7 +148,9 @@ TEST(EventQueue, SchedulingInPastPanics)
 // global (when, FIFO-seq) execution order of a plain binary heap on
 // arbitrary schedules, including events scheduled from inside
 // running events at the current tick (the PR-1 regression class) and
-// offsets straddling the near-window edge.
+// offsets straddling the near-window edge. Its pending-tick profile
+// (forEachPendingTick, which the model checker hashes) must match the
+// reference's pending events too.
 
 namespace {
 
@@ -223,28 +228,65 @@ struct RealRun
     }
 };
 
+/** A pending-tick profile: (tick, events due then), ascending. */
+using Profile = std::vector<std::pair<spp::Tick, std::size_t>>;
+
 /** Reference semantics: strict (when, schedule-seq) order. */
-std::vector<std::uint64_t>
-referenceOrder(std::uint64_t seed, unsigned n_roots)
+struct ReferenceRun
 {
     std::map<std::pair<spp::Tick, std::uint64_t>, std::uint64_t> q;
     std::uint64_t seq = 0;
     std::vector<std::uint64_t> order;
-    for (unsigned i = 0; i < n_roots; ++i)
-        q.emplace(std::pair{rootTick(seed, i), seq++},
-                  kRootBase + i);
-    while (!q.empty()) {
+    std::uint64_t seed = 0;
+
+    void
+    spawn(spp::Tick when, std::uint64_t id)
+    {
+        q.emplace(std::pair{when, seq++}, id);
+    }
+
+    void
+    step()
+    {
         const auto it = q.begin();
         const spp::Tick now = it->first.first;
         const std::uint64_t id = it->second;
         q.erase(it);
         order.push_back(id);
         spawnChildren(id, seed, now,
-                      [&](spp::Tick when, std::uint64_t child) {
-                          q.emplace(std::pair{when, seq++}, child);
+                      [this](spp::Tick when, std::uint64_t child) {
+                          spawn(when, child);
                       });
     }
-    return order;
+
+    Profile
+    pending() const
+    {
+        Profile p;
+        for (const auto &[key, id] : q) {
+            if (!p.empty() && p.back().first == key.first)
+                ++p.back().second;
+            else
+                p.emplace_back(key.first, 1);
+        }
+        return p;
+    }
+};
+
+/** The queue's forEachPendingTick profile. A tick may be reported
+ * twice (far entries, then the slot); the counts are summed. */
+Profile
+pendingProfile(const spp::EventQueue &eq)
+{
+    Profile p;
+    eq.forEachPendingTick([&p](spp::Tick when, std::size_t n) {
+        EXPECT_TRUE(p.empty() || p.back().first <= when);
+        if (!p.empty() && p.back().first == when)
+            p.back().second += n;
+        else
+            p.emplace_back(when, n);
+    });
+    return p;
 }
 
 } // namespace
@@ -254,15 +296,64 @@ TEST(EventQueue, MatchesReferenceHeapOnRandomSchedules)
     constexpr unsigned n_roots = 32;
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
         RealRun real;
+        ReferenceRun ref;
         real.seed = seed;
-        for (unsigned i = 0; i < n_roots; ++i)
+        ref.seed = seed;
+        for (unsigned i = 0; i < n_roots; ++i) {
             real.spawn(rootTick(seed, i), kRootBase + i);
-        real.eq.run();
+            ref.spawn(rootTick(seed, i), kRootBase + i);
+        }
+        // Step both in lockstep; every 10 events (a seed runs about
+        // 200) the queue's pending ticks must match the reference's.
+        while (!real.eq.empty()) {
+            ASSERT_FALSE(ref.q.empty()) << "seed " << seed;
+            real.eq.step();
+            ref.step();
+            if (real.eq.executed() % 10 == 0) {
+                ASSERT_EQ(pendingProfile(real.eq), ref.pending())
+                    << "seed " << seed << " after "
+                    << real.eq.executed() << " events";
+            }
+        }
 
-        const std::vector<std::uint64_t> ref =
-            referenceOrder(seed, n_roots);
-        ASSERT_FALSE(ref.empty());
-        EXPECT_EQ(real.order, ref) << "seed " << seed;
-        EXPECT_TRUE(real.eq.empty());
+        ASSERT_FALSE(ref.order.empty());
+        EXPECT_EQ(real.order, ref.order) << "seed " << seed;
+        EXPECT_TRUE(ref.q.empty());
     }
+}
+
+// Destroying a queue mid-run destroys every pending closure exactly
+// once, near or far, and a closure that ran is destroyed when it
+// returns: each closure holds a shared_ptr copy, so use_count() counts
+// the live ones.
+TEST(EventQueue, DestroyingMidRunDestroysEachPendingActionOnce)
+{
+    struct Hop
+    {
+        EventQueue *eq;
+        std::shared_ptr<int> token;
+        Tick delay;
+
+        void operator()() { eq->scheduleAfter(delay, Hop{*this}); }
+    };
+    const auto token = std::make_shared<int>(0);
+    {
+        EventQueue eq;
+        // 64 chains hopping 7 ticks stay in the window, several to a
+        // slot; 64 hopping 3,000 ticks stay in the far heap.
+        for (Tick t = 0; t < 64; ++t) {
+            eq.schedule(t, Hop{&eq, token, 7});
+            eq.schedule(t, Hop{&eq, token, 3000});
+        }
+        EXPECT_FALSE(eq.run(5000));
+        EXPECT_EQ(eq.pending(), 128u);
+        EXPECT_EQ(token.use_count(), 1 + 128);
+        std::size_t far = 0;
+        eq.forEachPendingTick([&far](Tick when, std::size_t n) {
+            if (when >= 6000)
+                far += n;
+        });
+        EXPECT_EQ(far, 64u);
+    }
+    EXPECT_EQ(token.use_count(), 1);
 }

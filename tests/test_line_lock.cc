@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "coherence/line_lock.hh"
 
 using namespace spp;
@@ -78,4 +80,31 @@ TEST(LineLock, ReleaseUnheldPanics)
     EXPECT_DEATH({ t.release(0x100, {1, 10}); }, "release");
     t.acquireOrQueue(0x100, {1, 10}, [] {});
     EXPECT_DEATH({ t.release(0x100, {2, 20}); }, "release");
+}
+
+// The state hash folds the holder and the waiters still queued, in
+// FIFO order, whatever hand-offs the queue has seen: consumed entries
+// fold in neither before the queue erases them nor after.
+TEST(LineLock, HashFoldsOnlyQueuedWaiters)
+{
+    const auto hash = [](const LineLockTable &t) {
+        StateHasher h;
+        t.hashInto(h);
+        return h.value();
+    };
+    const auto table = [](const std::vector<CoreId> &keys) {
+        LineLockTable t;
+        for (CoreId c : keys)
+            t.acquireOrQueue(0x100, {c, c}, [] {});
+        return t;
+    };
+    LineLockTable worn = table({0, 1, 2, 3, 4, 5, 6});
+    worn.release(0x100, {0, 0});
+    worn.release(0x100, {1, 1});
+    // Two of six entries consumed: still in the vector.
+    EXPECT_EQ(hash(worn), hash(table({2, 3, 4, 5, 6})));
+    worn.release(0x100, {2, 2});
+    // Three of six consumed: erased.
+    EXPECT_EQ(hash(worn), hash(table({3, 4, 5, 6})));
+    EXPECT_NE(hash(worn), hash(table({3, 5, 4, 6})));
 }
