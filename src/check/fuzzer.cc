@@ -20,7 +20,8 @@ fuzzConfig(const FuzzCase &c)
     cfg.predictor = c.predictor;
     cfg.sharerFormat = c.sharerFormat;
     cfg.seed = c.workload.seed;
-    cfg.maxTicks = c.maxTicks;
+    // 5,000,000 ticks up to 64 cores, in proportion past them.
+    cfg.maxTicks = Tick{5'000'000} * std::max(c.numCores, 64u) / 64;
     cfg.injectBug = c.injectBug;
     // Tiny caches: evictions, writebacks and capacity misses race
     // with the coherence traffic instead of everything fitting.
@@ -37,7 +38,7 @@ runFuzzCase(const FuzzCase &c)
 
     CheckerOptions copts;
     copts.abortOnViolation = false;
-    copts.watchdogTicks = c.maxTicks / 4;
+    copts.watchdogTicks = cfg.maxTicks / 4;
     copts.dataBase = layout::sharedBase;
     ProtocolChecker checker(sys.memSys(), copts);
     sys.syncManager().addListener(&checker);

@@ -33,7 +33,6 @@ struct FuzzCase
     wl::FuzzWorkloadParams workload;
     unsigned numCores = 8;
     SharerFormat sharerFormat = SharerFormat::full;
-    Tick maxTicks = 5'000'000;
     unsigned injectBug = 0;     ///< Config::injectBug pass-through.
 
     /** Optional telemetry sidecars (series/trace/manifest) per case;
@@ -60,7 +59,14 @@ struct FuzzResult
     }
 };
 
-/** Build the (small-cache) Config a fuzz case runs under. */
+/**
+ * Build the (small-cache) Config a fuzz case runs under. Its maxTicks,
+ * the ticks a case may run before it counts as a timeout, is
+ * 5,000,000 up to 64 cores and grows in proportion to the core count
+ * past them, since every lock hand-off and barrier serializes more
+ * cores (a 256-core broadcast case needs 5,058,474). The checker's
+ * watchdog flags a transaction older than a quarter of it.
+ */
 Config fuzzConfig(const FuzzCase &c);
 
 /** Run one case to completion; never terminates the process. */

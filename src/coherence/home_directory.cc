@@ -10,13 +10,31 @@ namespace {
 /** Initial table size: a power of two, grown by doubling. */
 constexpr std::size_t initialSlots = 1024;
 
-/** Sharer words per entry: a bit per core, or per coarse group. */
+/** A limited-format pointer is a 16-bit core id, four to a word. */
+constexpr unsigned laneBits = 16;
+constexpr unsigned lanesPerWord = CoreSet::wordBits / laneBits;
+constexpr CoreSet::Word laneMask = (CoreSet::Word{1} << laneBits) - 1;
+static_assert(maxCores <= 1u << laneBits, "core ids fit a lane");
+
+/** Sharer words per entry: a bit per core or per coarse group, or
+ * a 16-bit lane per limited pointer. An entry never holds more than
+ * n distinct pointers, so P past n costs nothing. */
 unsigned
 sharerWords(const Config &cfg)
 {
-    const std::size_t bits = cfg.sharerFormat == SharerFormat::coarse
-        ? cfg.sharerEntryBits()
-        : cfg.numCores;
+    std::size_t bits = 0;
+    switch (cfg.sharerFormat) {
+      case SharerFormat::full:
+        bits = cfg.numCores;
+        break;
+      case SharerFormat::coarse:
+        bits = cfg.sharerEntryBits();
+        break;
+      case SharerFormat::limited:
+        bits = std::size_t{laneBits} *
+            std::min(cfg.sharerPointers, cfg.numCores);
+        break;
+    }
     return static_cast<unsigned>((bits + CoreSet::wordBits - 1) /
                                  CoreSet::wordBits);
 }
@@ -52,16 +70,40 @@ HomeDirectory::resetBit(Entry &e, CoreId bit)
         ~(Word{1} << (bit % CoreSet::wordBits));
 }
 
+CoreId
+HomeDirectory::pointer(const Entry &e, unsigned i) const
+{
+    return static_cast<CoreId>(
+        bitsOf(e)[i / lanesPerWord] >> (i % lanesPerWord * laneBits) &
+        laneMask);
+}
+
+void
+HomeDirectory::setPointer(Entry &e, unsigned i, CoreId c)
+{
+    Word &w = bitsOf(e)[i / lanesPerWord];
+    const unsigned shift = i % lanesPerWord * laneBits;
+    w = (w & ~(laneMask << shift)) | Word{c} << shift;
+}
+
+bool
+HomeDirectory::holdsPointer(const Entry &e, CoreId c) const
+{
+    for (unsigned i = 0; i < e.pointers; ++i)
+        if (pointer(e, i) == c)
+            return true;
+    return false;
+}
+
 CoreSet
 HomeDirectory::sharers(const Entry &e) const
 {
-    const CoreSet bits = CoreSet::fromWords(bitsOf(e), words_);
     switch (format_) {
       case SharerFormat::full:
-        return bits;
+        return CoreSet::fromWords(bitsOf(e), words_);
       case SharerFormat::coarse: {
         CoreSet s;
-        for (CoreId g : bits) {
+        for (CoreId g : CoreSet::fromWords(bitsOf(e), words_)) {
             const unsigned lo = g * k_;
             const unsigned hi = std::min(lo + k_, n_cores_);
             for (unsigned c = lo; c < hi; ++c)
@@ -69,8 +111,14 @@ HomeDirectory::sharers(const Entry &e) const
         }
         return s;
       }
-      case SharerFormat::limited:
-        return e.overflow ? CoreSet::all(n_cores_) : bits;
+      case SharerFormat::limited: {
+        if (e.overflow)
+            return CoreSet::all(n_cores_);
+        CoreSet s;
+        for (unsigned i = 0; i < e.pointers; ++i)
+            s.set(pointer(e, i));
+        return s;
+      }
     }
     return {};
 }
@@ -84,7 +132,7 @@ HomeDirectory::mayShare(const Entry &e, CoreId c) const
       case SharerFormat::coarse:
         return testBit(e, group(c));
       case SharerFormat::limited:
-        return e.overflow || testBit(e, c);
+        return e.overflow || holdsPointer(e, c);
     }
     return false;
 }
@@ -100,9 +148,9 @@ HomeDirectory::readFromOwner(Entry &e, CoreId reader)
         setBit(e, group(reader));
         break;
       case SharerFormat::limited:
-        if (!e.overflow && !testBit(e, reader)) {
-            if (CoreSet::fromWords(bitsOf(e), words_).count() < p_)
-                setBit(e, reader);
+        if (!e.overflow && !holdsPointer(e, reader)) {
+            if (e.pointers < p_)
+                setPointer(e, e.pointers++, reader);
             else
                 e.overflow = true; // Past P sharers: broadcast.
         }
@@ -130,10 +178,15 @@ HomeDirectory::readFromMemory(Entry &e, CoreId reader)
 void
 HomeDirectory::write(Entry &e, CoreId writer)
 {
-    std::fill_n(bitsOf(e), words_, Word{0});
     e.overflow = false;
-    setBit(e, format_ == SharerFormat::coarse ? group(writer) : writer);
     e.owner = writer;
+    if (format_ == SharerFormat::limited) {
+        setPointer(e, 0, writer);
+        e.pointers = 1;
+        return;
+    }
+    std::fill_n(bitsOf(e), words_, Word{0});
+    setBit(e, format_ == SharerFormat::coarse ? group(writer) : writer);
 }
 
 void
@@ -143,10 +196,19 @@ HomeDirectory::writeback(Addr line, CoreId core)
     if (e.line != line)
         return;
     // Coarse group bits and overflowed limited entries keep their
-    // conservative superset (it must never under-approximate).
-    if (format_ == SharerFormat::full ||
-        (format_ == SharerFormat::limited && !e.overflow))
+    // conservative superset (it must never under-approximate). A
+    // limited entry keeps its pointers in lanes [0, pointers): the
+    // last one fills the freed lane.
+    if (format_ == SharerFormat::full) {
         resetBit(e, core);
+    } else if (format_ == SharerFormat::limited && !e.overflow) {
+        for (unsigned i = 0; i < e.pointers; ++i) {
+            if (pointer(e, i) == core) {
+                setPointer(e, i, pointer(e, --e.pointers));
+                break;
+            }
+        }
+    }
     if (e.owner == core)
         e.owner = invalidCore;
 }

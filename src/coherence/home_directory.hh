@@ -37,16 +37,21 @@
  * Storage is one flat open-addressing table (linear probing, buckets
  * picked by splitmix64) that grows by doubling and never erases: a
  * line's entry lives from its first miss to the end of the run. Each
- * 16-byte slot holds the line, the owner and the overflow flag; a
- * parallel array holds each slot's sharer bits at the machine's
- * width, ceil(n/64) words for full and limited and ceil(ceil(n/K)/64)
- * for coarse, so a 16-core entry costs 24 bytes.
+ * 16-byte slot holds the line, the owner, the overflow flag and, for
+ * limited, the pointers in use; a parallel array holds each slot's
+ * sharer words. Full keeps ceil(n/64) words of bits and coarse
+ * ceil(ceil(n/K)/64); limited keeps min(P, n) 16-bit core ids, four
+ * to a word, so its host cost follows Config::sharerEntryBits()
+ * rounded to 16-bit lanes rather than n. A 16-core entry costs 24
+ * bytes in every format, and a limited one with P <= 4 costs 24 bytes
+ * at any core count.
  */
 
 #ifndef SPP_COHERENCE_HOME_DIRECTORY_HH
 #define SPP_COHERENCE_HOME_DIRECTORY_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/config.hh"
@@ -64,7 +69,7 @@ class HomeDirectory
     /** The line of an empty slot; line addresses never reach it. */
     static constexpr Addr noLine = ~Addr{0};
 
-    /** One line's directory state, less its sharer bits (full: the
+    /** One line's directory state, less its sharer words (full: the
      * sharers; coarse: group bits; limited: pointers), which the
      * directory keeps beside it. */
     struct Entry
@@ -72,7 +77,11 @@ class HomeDirectory
         Addr line = noLine;         ///< Set by at(); read-only.
         CoreId owner = invalidCore; ///< E/M/F holder, if any.
         bool overflow = false;      ///< limited: more than P sharers.
+        /** limited: pointers held, at most P (configValidate bounds P
+         * to 16 bits); read-only. */
+        std::uint16_t pointers = 0;
     };
+    static_assert(sizeof(Entry) == 16, "a slot is 16 bytes");
 
     explicit HomeDirectory(const Config &cfg);
 
@@ -187,6 +196,12 @@ class HomeDirectory
     bool testBit(const Entry &e, CoreId bit) const;
     void setBit(Entry &e, CoreId bit);
     void resetBit(Entry &e, CoreId bit);
+
+    /** Limited format: pointer @p i of @p e, and whether any pointer
+     * in use names @p c. */
+    CoreId pointer(const Entry &e, unsigned i) const;
+    void setPointer(Entry &e, unsigned i, CoreId c);
+    bool holdsPointer(const Entry &e, CoreId c) const;
 
     /** Double the table and re-place every entry. */
     void grow();

@@ -1,6 +1,6 @@
 #include "coherence/mem_sys.hh"
 
-#include <unordered_map>
+#include <map>
 
 #include "check/protocol_checker.hh"
 #include "coherence/directory_protocol.hh"
@@ -873,9 +873,10 @@ MemSys::checkCoherence() const
 {
     SPP_ASSERT(drained(), "coherence check requires a drained system");
 
-    // Collect every line with at least one valid copy.
-    std::unordered_map<Addr, std::vector<std::pair<CoreId, CacheLine>>>
-        copies;
+    // Collect every line with at least one valid copy, in address
+    // order, so the first violation reported does not depend on a
+    // hash table's order.
+    std::map<Addr, std::vector<std::pair<CoreId, CacheLine>>> copies;
     for (unsigned c = 0; c < n_cores_; ++c) {
         l2_[c]->forEachValid([&](const CacheLine &line) {
             copies[line.tag].emplace_back(c, line);

@@ -225,8 +225,10 @@ configValidate(const Config &c)
         return strfmt("coarseCoresPerBit must be in [1, numCores], "
                       "got {}",
                       c.coarseCoresPerBit);
-    if (c.sharerPointers == 0)
-        return "sharerPointers must be non-zero";
+    // HomeDirectory counts a limited entry's pointers in 16 bits.
+    if (c.sharerPointers == 0 || c.sharerPointers > 65535)
+        return strfmt("sharerPointers must be in [1, 65535], got {}",
+                      c.sharerPointers);
     if (c.linkBytesPerCycle == 0)
         return "linkBytesPerCycle must be non-zero";
     if (c.enableDram && (c.dramBanks == 0 || c.dramRowLines == 0))

@@ -175,57 +175,38 @@ class EventQueue
 
     /**
      * Enumerate the due tick of every pending event as
-     * fn(Tick when, std::size_t count), in ascending tick order.
-     * Event actions themselves are opaque; this exposes exactly the
-     * queue's *timing* profile, which the model checker folds into
-     * its state hash (two states with different in-flight event
-     * schedules must not be identified). O(windowSlots + far log far)
+     * fn(Tick when, std::size_t count), in ascending tick order, each
+     * tick once: far-heap and slot events due at the same tick are
+     * counted together. Event actions themselves are opaque; this
+     * exposes exactly the queue's *timing* profile, which the model
+     * checker folds into its state hash (two states with different
+     * in-flight event schedules must not be identified, and two with
+     * the same must fold alike). O(windowSlots + pending log pending)
      * — a model-checking path, not a hot path.
      */
     template <typename Fn>
     void
     forEachPendingTick(Fn fn) const
     {
-        // Far entries first into a sorted scratch list: the heap's
-        // internal layout depends on insertion history and must not
-        // leak into enumeration order.
-        std::vector<Tick> far_ticks;
-        far_ticks.reserve(far_.size());
+        // Every pending event's due tick, sorted, then counted per
+        // tick: the heap's internal layout depends on insertion
+        // history and must not leak into enumeration order.
+        std::vector<Tick> ticks;
+        ticks.reserve(pending_);
         for (const FarEntry &e : far_)
-            far_ticks.push_back(e.when);
-        std::sort(far_ticks.begin(), far_ticks.end());
-
-        std::size_t fi = 0;
+            ticks.push_back(e.when);
         const std::size_t base = cur_tick_ & windowMask;
-        for (std::size_t k = 0; k < windowSlots; ++k) {
-            const std::size_t idx = (base + k) & windowMask;
-            std::size_t n = 0;
+        for (std::size_t idx = 0; idx < windowSlots; ++idx)
             for (const Node *e = slots_[idx].head; e != nullptr;
                  e = e->next)
-                ++n;
-            if (n == 0)
-                continue;
-            // Far entries due at or before this slot tick precede it
-            // (far entries for a tick always predate slot entries for
-            // the same tick; see the class comment).
-            const Tick when = cur_tick_ + k;
-            while (fi < far_ticks.size() && far_ticks[fi] <= when) {
-                std::size_t c = 1;
-                while (fi + c < far_ticks.size() &&
-                       far_ticks[fi + c] == far_ticks[fi])
-                    ++c;
-                fn(far_ticks[fi], c);
-                fi += c;
-            }
-            fn(when, n);
-        }
-        while (fi < far_ticks.size()) {
-            std::size_t c = 1;
-            while (fi + c < far_ticks.size() &&
-                   far_ticks[fi + c] == far_ticks[fi])
-                ++c;
-            fn(far_ticks[fi], c);
-            fi += c;
+                ticks.push_back(cur_tick_ + ((idx - base) & windowMask));
+        std::sort(ticks.begin(), ticks.end());
+        for (std::size_t i = 0; i < ticks.size();) {
+            std::size_t j = i + 1;
+            while (j < ticks.size() && ticks[j] == ticks[i])
+                ++j;
+            fn(ticks[i], j - i);
+            i = j;
         }
     }
 

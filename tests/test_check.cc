@@ -179,6 +179,33 @@ TEST(Fuzzer, DescribeRendersReplayableLine)
     EXPECT_EQ(line.find("--inject"), std::string::npos);
 }
 
+// The tick budget grows with the machine past 64 cores. This 256-core
+// broadcast case runs to tick 5,058,474 with no violation; under the
+// 5,000,000 ticks that every case up to 64 cores keeps, it timed out.
+TEST(Fuzzer, TickBudgetFollowsCoreCount)
+{
+    QuietGuard q;
+    FuzzCase c;
+    for (const unsigned n : {8u, 64u}) {
+        c.numCores = n;
+        EXPECT_EQ(fuzzConfig(c).maxTicks, 5'000'000u) << n << " cores";
+    }
+
+    c.protocol = Protocol::broadcast;
+    c.predictor = PredictorKind::none;
+    c.workload.seed = 7;
+    c.numCores = 256;
+    c.sharerFormat = SharerFormat::limited;
+    ASSERT_EQ(describeFuzzCase(c),
+              "--protocol broadcast --predictor none --seed 7 "
+              "--cores 256 --segments 12 --ops 24 --lines 36 --locks 4 "
+              "--barriers 3 --format limited");
+    const FuzzResult r = runFuzzCase(c);
+    EXPECT_EQ(r.status, RunStatus::ok) << toString(r.status);
+    EXPECT_TRUE(r.violations.empty());
+    EXPECT_EQ(r.ticks, 5'058'474u);
+}
+
 TEST(Fuzzer, NonSquareCoreCountsGetValidMesh)
 {
     QuietGuard q;

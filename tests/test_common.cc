@@ -202,6 +202,20 @@ TEST(Config, GeometryProductsDoNotWrap)
               std::string::npos);
 }
 
+TEST(Config, SharerPointersFitTheirCount)
+{
+    // A limited entry counts its pointers in 16 bits.
+    Config cfg;
+    cfg.sharerPointers = 65535;
+    EXPECT_EQ(configValidate(cfg), "");
+    cfg.sharerPointers = 65536;
+    EXPECT_EQ(configValidate(cfg),
+              "sharerPointers must be in [1, 65535], got 65536");
+    cfg.sharerPointers = 0;
+    EXPECT_NE(configValidate(cfg).find("sharerPointers"),
+              std::string::npos);
+}
+
 TEST(Config, DeathOnPredictedWithoutPredictor)
 {
     Config cfg;

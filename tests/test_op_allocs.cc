@@ -1,9 +1,10 @@
 /**
  * @file
  * Allocation tests: a thread's ops, and the misses they cause, must
- * not allocate; a cache array holds only the ways it fills, the event
- * queue only about the events pending at once and a home lock's wait
- * queue only about its waiters.
+ * not allocate; a cache array holds only the ways it fills, a limited
+ * home directory only its pointers, the event queue only about the
+ * events pending at once and a home lock's wait queue only about its
+ * waiters.
  *
  * Global operator new is replaced by a version that counts calls and
  * sums the bytes requested. Two runs differ only in how many
@@ -19,6 +20,7 @@
 #include <new>
 #include <utility>
 
+#include "coherence/home_directory.hh"
 #include "coherence/line_lock.hh"
 #include "event/event_queue.hh"
 #include "mem/cache_array.hh"
@@ -151,6 +153,28 @@ TEST(OpAllocations, CacheSetsHoldOnlyTheWaysTheyFill)
     const std::uint64_t bytes = g_bytes.load() - before;
     EXPECT_LT(bytes, 2 * 2048 * sizeof(CacheLine) + 32 * 1024)
         << "2,048 lines in 2,048 sets allocated " << bytes << " B";
+}
+
+TEST(OpAllocations, LimitedDirectoryHoldsPointers)
+{
+    // A 256-core limited entry (P = 4) keeps four 16-bit pointers, not
+    // a 256-bit vector: 100,000 lines grow the table to 262,144 slots,
+    // and its doublings request about 12 MiB at 24 B a slot (24 MiB
+    // at 48).
+    Config cfg;
+    cfg.numCores = 256;
+    cfg.sharerFormat = SharerFormat::limited;
+    const std::uint64_t before = g_bytes.load();
+    {
+        HomeDirectory dir(cfg);
+        for (unsigned i = 0; i < 100000; ++i)
+            dir.readFromMemory(dir.at(Addr{i} * 64),
+                               static_cast<CoreId>(i % 256));
+    }
+    const std::uint64_t bytes = g_bytes.load() - before;
+    EXPECT_LT(bytes, 16u << 20)
+        << "100,000 limited entries at 256 cores allocated " << bytes
+        << " B";
 }
 
 TEST(OpAllocations, EventQueueHoldsOnlyPendingEvents)

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <vector>
 
 #include "check/fuzzer.hh"
@@ -154,6 +156,150 @@ TEST(HomeDirectory, SupersetInvariantUnderRandomOps)
                 if (f == SharerFormat::full) {
                     ASSERT_EQ(d.sharers(e), exact);
                 }
+            }
+        }
+    }
+}
+
+namespace {
+
+/** Reference Dir-P-B entry: at most P exact pointers, then an
+ * overflow flag that reads as every core until the next write. */
+struct DirPB
+{
+    std::vector<CoreId> ptrs;
+    bool overflow = false;
+    CoreId owner = invalidCore;
+
+    CoreSet
+    sharers(unsigned n) const
+    {
+        if (overflow)
+            return CoreSet::all(n);
+        CoreSet s;
+        for (CoreId c : ptrs)
+            s.set(c);
+        return s;
+    }
+
+    void
+    add(CoreId c, unsigned p)
+    {
+        if (overflow || std::find(ptrs.begin(), ptrs.end(), c) !=
+                            ptrs.end())
+            return;
+        if (ptrs.size() < p)
+            ptrs.push_back(c);
+        else
+            overflow = true;
+    }
+};
+
+} // namespace
+
+// The limited format against a reference Dir-P-B, exactly: the
+// superset test above would miss a pointer that reports an extra
+// sharer. Random transitions on a few lines, with cores drawn half
+// from a pool of P + 2 (so writebacks hit pointers at 1,024 cores)
+// and half from all n; after each one the line's sharers(), every
+// core's mayShare(), overflow, owner and any fill state must match
+// the reference, and the hash must equal that of a directory built
+// afresh, in the opposite line order, with the same entries.
+TEST(HomeDirectory, LimitedMatchesDirPBReference)
+{
+    constexpr unsigned lines = 8;
+    constexpr int steps = 1000;
+    auto line_of = [](unsigned i) { return 0x1000 + Addr{i} * 64; };
+    auto digest = [](const HomeDirectory &d) {
+        StateHasher h;
+        d.hashInto(h);
+        return h.value();
+    };
+    for (const unsigned n : {3u, 64u, 256u, 1024u}) {
+        for (const unsigned p : {1u, 2u, 4u, 7u}) {
+            SCOPED_TRACE(testing::Message() << "n=" << n << " P=" << p);
+            const Config cfg = mkConfig(SharerFormat::limited, n, 4, p);
+            HomeDirectory d(cfg);
+            std::map<unsigned, DirPB> ref;
+            Rng rng(1000 * n + p);
+            std::vector<CoreId> pool;
+            for (unsigned k = 0; k < p + 2; ++k)
+                pool.push_back(static_cast<CoreId>(rng.below(n)));
+            for (int step = 0; step < steps; ++step) {
+                const unsigned i = static_cast<unsigned>(rng.below(lines));
+                const CoreId c = rng.below(2) != 0
+                    ? pool[rng.below(pool.size())]
+                    : static_cast<CoreId>(rng.below(n));
+                switch (rng.below(4)) {
+                  case 0: {
+                    d.readFromOwner(d.at(line_of(i)), c);
+                    DirPB &r = ref[i];
+                    r.add(c, p);
+                    r.owner = cfg.enableFState ? c : invalidCore;
+                    break;
+                  }
+                  case 1: {
+                    const Mesif fill =
+                        d.readFromMemory(d.at(line_of(i)), c);
+                    DirPB &r = ref[i];
+                    CoreSet others = r.sharers(n);
+                    others.reset(c);
+                    r.add(c, p);
+                    Mesif want = cfg.enableFState ? Mesif::forwarding
+                                                  : Mesif::shared;
+                    r.owner = cfg.enableFState ? c : invalidCore;
+                    if (others.empty()) {
+                        want = Mesif::exclusive;
+                        r.owner = c;
+                    }
+                    ASSERT_EQ(fill, want) << "step " << step;
+                    break;
+                  }
+                  case 2: {
+                    d.write(d.at(line_of(i)), c);
+                    ref[i] = DirPB{{c}, false, c};
+                    break;
+                  }
+                  default: {
+                    d.writeback(line_of(i), c);
+                    const auto it = ref.find(i);
+                    if (it == ref.end())
+                        break;
+                    DirPB &r = it->second;
+                    if (!r.overflow)
+                        std::erase(r.ptrs, c);
+                    if (r.owner == c)
+                        r.owner = invalidCore;
+                    break;
+                  }
+                }
+
+                const auto it = ref.find(i);
+                if (it != ref.end()) {
+                    const DirPB &r = it->second;
+                    const HomeDirectory::Entry &e = d.at(line_of(i));
+                    const CoreSet want = r.sharers(n);
+                    ASSERT_EQ(d.sharers(e), want) << "step " << step;
+                    ASSERT_EQ(e.overflow, r.overflow) << "step " << step;
+                    ASSERT_EQ(e.owner, r.owner) << "step " << step;
+                    for (CoreId k = 0; k < n; ++k)
+                        ASSERT_EQ(d.mayShare(e, k), want.test(k))
+                            << "core " << k << " step " << step;
+                }
+
+                HomeDirectory fresh(cfg);
+                for (auto r = ref.rbegin(); r != ref.rend(); ++r) {
+                    HomeDirectory::Entry &e = fresh.at(line_of(r->first));
+                    for (CoreId k : r->second.ptrs)
+                        fresh.readFromOwner(e, k);
+                    // Overflow through other pointers than d kept:
+                    // the hash must not see them.
+                    for (CoreId k = 0; r->second.overflow && !e.overflow;
+                         ++k)
+                        fresh.readFromOwner(e, k);
+                    e.owner = r->second.owner;
+                }
+                ASSERT_EQ(digest(d), digest(fresh)) << "step " << step;
             }
         }
     }

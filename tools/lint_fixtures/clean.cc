@@ -21,6 +21,13 @@ clean()
     for (const auto &kv : sorted)
         (void)kv;
 
+    // A vector of unordered maps iterates in order, also when its
+    // declaration wraps.
+    std::vector<std::unordered_map<int, int>>
+        per_core;
+    for (const auto &map : per_core)
+        (void)map;
+
     // An annotated unordered fold is allowed when commutative.
     // lint: allow(unordered-iter) — commutative fold.
     for (const auto &kv : m)

@@ -93,10 +93,15 @@ RULES = [
 # those names. Lookups — find/count/operator[]/`it != m.end()` — never
 # match, and a vector<unordered_map<...>> member is not collected (the
 # outer iteration is deterministic): the unordered token must open the
-# declared type.
+# declared type. A line that opens such a type without declaring a
+# name is joined with the lines after it, up to DECL_MAX_LINES, so a
+# declaration wrapped across lines is collected too.
+UNORDERED_TYPE = (r"^\s*(?:static\s+|const\s+|mutable\s+)*"
+                  r"(?:std\s*::\s*)?unordered_(?:map|set)\s*<")
+UNORDERED_OPEN_RE = re.compile(UNORDERED_TYPE)
 UNORDERED_DECL_RE = re.compile(
-    r"^\s*(?:static\s+|const\s+|mutable\s+)*(?:std\s*::\s*)?"
-    r"unordered_(?:map|set)\s*<.*>\s*&?(\w+)\s*[;={(,]")
+    UNORDERED_TYPE + r".*>\s*&?(\w+)\s*[;={(,]")
+DECL_MAX_LINES = 4
 UNORDERED_ITER_WHY = (
     "iteration over an unordered container (nondeterministic order); "
     "iterate a sorted copy or a deterministic container"
@@ -111,11 +116,22 @@ def collect_unordered_names(paths):
         except OSError:
             continue
         in_block = False
+        held = []  # Lines of a declaration still open.
         for raw_line in raw.splitlines():
             code, in_block = strip_comments_and_strings(
                 raw_line, in_block)
-            for m in UNORDERED_DECL_RE.finditer(code):
+            if held:
+                held.append(code)
+                code = " ".join(held)
+            m = UNORDERED_DECL_RE.search(code)
+            if m:
                 names.add(m.group(1))
+                held = []
+            elif (UNORDERED_OPEN_RE.search(code) and ";" not in code
+                  and len(held) < DECL_MAX_LINES):
+                held = held or [code]
+            else:
+                held = []
     return names
 
 
@@ -229,8 +245,14 @@ def run_lint(paths, root):
     return findings
 
 
+# A fixture line that must trip a rule ends in a comment naming it.
+FIXTURE_MARK_RE = re.compile(r"//\s*([a-z-]+)\s*$")
+
+
 def self_test(root):
-    """The fixture pair proves every rule both fires and can pass."""
+    """The fixture pair proves every rule both fires and can pass:
+    each line of violations.cc marked `// <rule>` must trip that rule,
+    and every rule must have such a line."""
     fixtures = root / "tools" / "lint_fixtures"
     vio = fixtures / "violations.cc"
     cln = fixtures / "clean.cc"
@@ -239,12 +261,22 @@ def self_test(root):
 
     bad = []
     lint_file(vio, "violations.cc", bad, iter_rx)
-    hit = {name for (_, _, name, _) in bad}
+    hit = {(lineno, name) for (_, lineno, name, _) in bad}
     expected = {name for (name, _, _) in RULES} | {"unordered-iter"}
+    marked = set()
+    for lineno, text in enumerate(
+            vio.read_text(encoding="utf-8").splitlines(), 1):
+        m = FIXTURE_MARK_RE.search(text)
+        if m and m.group(1) in expected:
+            marked.add((lineno, m.group(1)))
     ok = True
-    for name in sorted(expected - hit):
+    for lineno, name in sorted(marked - hit):
         print(f"self-test: rule '{name}' did not fire on "
-              f"lint_fixtures/violations.cc")
+              f"lint_fixtures/violations.cc:{lineno}")
+        ok = False
+    for name in sorted(expected - {name for (_, name) in marked}):
+        print(f"self-test: no line of lint_fixtures/violations.cc is "
+              f"marked '// {name}'")
         ok = False
 
     clean = []
